@@ -27,14 +27,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.benchgen.uunifast import uunifast
-from repro.control.plants import BENCHMARK_PLANT_NAMES, get_plant
+from repro.control.plants import BENCHMARK_PLANT_NAMES, Plant, get_plant
 from repro.errors import ModelError
-from repro.jittermargin.linearbound import stability_bound_for_plant
+from repro.jittermargin.linearbound import BoundKey, bound_key, stability_bound_for_plant
 from repro.rta.taskset import Task, TaskSet
 
 #: Smallest admissible WCET (seconds): guards degenerate UUniFast shares.
@@ -89,6 +89,45 @@ def _draw_period(plant_range: Tuple[float, float], rng: np.random.Generator, log
     return float(rng.uniform(lo, hi))
 
 
+class TaskDraw(NamedTuple):
+    """The random parameters of one generated control task."""
+
+    plant: Plant
+    period: float
+    wcet: float
+    bcet: float
+
+
+def draw_task_parameters(
+    n: int,
+    rng: np.random.Generator,
+    *,
+    config: Optional[BenchmarkConfig] = None,
+    utilization: Optional[float] = None,
+) -> List[TaskDraw]:
+    """Every random draw of :func:`generate_control_taskset`, no bounds.
+
+    Consumes ``rng`` exactly as generation does (generation calls this),
+    so the stability-bound keys of a task set can be listed without
+    computing a single bound.
+    """
+    config = config or BenchmarkConfig()
+    if utilization is None:
+        utilization = float(rng.uniform(*config.utilization_range))
+    shares = uunifast(n, utilization, rng)
+    plant_pool = _plant_name_array(config.plant_names)
+
+    draws: List[TaskDraw] = []
+    for share in shares:
+        plant = get_plant(str(rng.choice(plant_pool)))
+        period = _draw_period(plant.period_range, rng, config.log_uniform_periods)
+        wcet = max(share * period, _MIN_WCET)
+        fraction = float(rng.uniform(*config.bcet_fraction_range))
+        bcet = max(wcet * fraction, _MIN_WCET / 2)
+        draws.append(TaskDraw(plant, period, wcet, bcet))
+    return draws
+
+
 def generate_control_taskset(
     n: int,
     rng: np.random.Generator,
@@ -101,31 +140,41 @@ def generate_control_taskset(
     ``utilization`` overrides the configured range (used by sweeps that
     control utilisation explicitly).
     """
-    config = config or BenchmarkConfig()
-    if utilization is None:
-        utilization = float(rng.uniform(*config.utilization_range))
-    shares = uunifast(n, utilization, rng)
-    plant_pool = _plant_name_array(config.plant_names)
-
-    tasks: List[Task] = []
-    for index, share in enumerate(shares):
-        plant = get_plant(str(rng.choice(plant_pool)))
-        period = _draw_period(plant.period_range, rng, config.log_uniform_periods)
-        wcet = max(share * period, _MIN_WCET)
-        fraction = float(rng.uniform(*config.bcet_fraction_range))
-        bcet = max(wcet * fraction, _MIN_WCET / 2)
-        bound = stability_bound_for_plant(plant, period)
-        tasks.append(
+    draws = draw_task_parameters(n, rng, config=config, utilization=utilization)
+    return TaskSet(
+        [
             Task(
                 name=f"tau{index + 1}",
-                period=period,
-                wcet=wcet,
-                bcet=bcet,
-                stability=bound,
-                plant_name=plant.name,
+                period=draw.period,
+                wcet=draw.wcet,
+                bcet=draw.bcet,
+                stability=stability_bound_for_plant(draw.plant, draw.period),
+                plant_name=draw.plant.name,
             )
-        )
-    return TaskSet(tasks)
+            for index, draw in enumerate(draws)
+        ]
+    )
+
+
+def suite_bound_keys(
+    items: Iterable[Dict[str, Any]], params: Dict[str, Any], seed: int
+) -> List[BoundKey]:
+    """The distinct bound-table keys of suite items, in draw order.
+
+    The :class:`~repro.sweep.spec.SweepSpec` key function shared by the
+    sweeps whose worker generates item ``{"n", "index"}`` as
+    ``generate_control_taskset(n, default_rng([seed, n, index]),
+    config=params.get("config"))`` -- the protocol of
+    :func:`generate_benchmark_suite`.
+    """
+    config = params.get("config")
+    keys: Dict[BoundKey, None] = {}
+    for item in items:
+        n = item["n"]
+        rng = np.random.default_rng([seed, n, item["index"]])
+        for draw in draw_task_parameters(n, rng, config=config):
+            keys[bound_key(draw.plant, draw.period)] = None
+    return list(keys)
 
 
 def draw_control_taskset(

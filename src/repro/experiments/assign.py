@@ -30,7 +30,11 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.api.service import analyze
-from repro.benchgen.taskgen import BenchmarkConfig, generate_control_taskset
+from repro.benchgen.taskgen import (
+    BenchmarkConfig,
+    generate_control_taskset,
+    suite_bound_keys,
+)
 from repro.experiments.report import format_table
 from repro.search import run_strategy
 from repro.memo import AnalysisMemo
@@ -183,6 +187,7 @@ def sweep_spec(
         params=params,
         seed=seed,
         chunk_size=chunk_size,
+        bound_keys=suite_bound_keys,
         volatile_keys=tuple(f"{a}_seconds" for a in algorithms),
     )
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Optional, Sequence
 
 from repro.anomalies.census import AnomalyCensus, census_benchmark
-from repro.benchgen.taskgen import BenchmarkConfig
+from repro.benchgen.taskgen import BenchmarkConfig, suite_bound_keys
 from repro.experiments.report import format_table
 from repro.sweep import SweepResult, SweepSpec, run_sweep
 
@@ -108,6 +108,7 @@ def sweep_spec(
         params=params,
         seed=seed,
         chunk_size=chunk_size,
+        bound_keys=suite_bound_keys,
     )
 
 

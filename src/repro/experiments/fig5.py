@@ -22,7 +22,11 @@ import numpy as np
 
 from repro.assignment.backtracking import assign_backtracking
 from repro.assignment.unsafe_quadratic import assign_unsafe_quadratic
-from repro.benchgen.taskgen import BenchmarkConfig, generate_control_taskset
+from repro.benchgen.taskgen import (
+    BenchmarkConfig,
+    generate_control_taskset,
+    suite_bound_keys,
+)
 from repro.experiments.report import format_table
 from repro.sweep import SweepResult, SweepSpec, run_sweep
 
@@ -146,6 +150,7 @@ def sweep_spec(
         params=params,
         seed=seed,
         chunk_size=chunk_size,
+        bound_keys=suite_bound_keys,
         volatile_keys=("uq_seconds", "bt_seconds"),
     )
 

@@ -21,7 +21,11 @@ import numpy as np
 
 from repro.api.service import analyze
 from repro.assignment.unsafe_quadratic import assign_unsafe_quadratic
-from repro.benchgen.taskgen import BenchmarkConfig, generate_control_taskset
+from repro.benchgen.taskgen import (
+    BenchmarkConfig,
+    generate_control_taskset,
+    suite_bound_keys,
+)
 from repro.experiments.report import format_table
 from repro.sweep import SweepResult, SweepSpec, run_sweep
 
@@ -111,6 +115,7 @@ def sweep_spec(
         params=params,
         seed=seed,
         chunk_size=chunk_size,
+        bound_keys=suite_bound_keys,
     )
 
 

@@ -19,8 +19,10 @@ This is the maximal-latency conservative line, visually matching the
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -96,20 +98,115 @@ def _bucket_period(h: float) -> float:
     return float(10.0 ** (round(math.log10(h) / step) * step))
 
 
-# The in-process ``lru_cache`` above each worker is the only cache tier:
-# worker-lifetime reuse across processes is the execution plane's job
-# (``repro.exec`` pool workers live for the whole run, so their caches
-# and analysis memos stay warm across every chunk they compute).  A
-# bespoke disk-backed cross-process memo used to live here; it was
-# retired when sweeps moved onto persistent pools.
+#: Entries the bound table keeps before evicting the least recently used.
+_BOUND_TABLE_ENTRIES = 4096
+
+#: A bound-table key: ``(plant name, period bucket, nominal delay / h)``.
+BoundKey = Tuple[str, float, float]
 
 
-@lru_cache(maxsize=4096)
-def _cached_bound(plant_name: str, h_bucket: float, nominal_delay_frac: float) -> LinearStabilityBound:
+#: ``lru_cache``-style statistics of a :class:`BoundTable`.
+BoundTableInfo = namedtuple("BoundTableInfo", "hits misses maxsize currsize")
+
+
+class BoundTable:
+    """A table of cached bounds: ``BoundKey -> bound``, LRU-bounded.
+
+    Called like the ``lru_cache`` it replaces (with ``cache_info`` and
+    ``cache_clear``), plus :meth:`install`: bounds computed elsewhere --
+    a sweep's bound plan in pool workers -- land in the one bounded store
+    every lookup reads.  A miss computes outside the lock; concurrent
+    misses of one key keep the first bound stored.
+    """
+
+    def __init__(self, maxsize: int) -> None:
+        self.maxsize = maxsize
+        self._entries: "OrderedDict[BoundKey, LinearStabilityBound]" = OrderedDict()
+        self._lock = threading.Lock()
+        self._hits = 0
+        self._misses = 0
+
+    def __call__(
+        self, plant_name: str, h_bucket: float, nominal_delay_frac: float
+    ) -> LinearStabilityBound:
+        key = (plant_name, h_bucket, nominal_delay_frac)
+        with self._lock:
+            bound = self._entries.get(key)
+            if bound is not None:
+                self._entries.move_to_end(key)
+                self._hits += 1
+                return bound
+            self._misses += 1
+        bound = _bound_of_key(key)
+        self.install([(key, bound)])
+        with self._lock:
+            return self._entries.get(key, bound)
+
+    def install(self, entries: Iterable[Tuple[BoundKey, LinearStabilityBound]]) -> None:
+        """Store computed ``(key, bound)`` pairs; a held key keeps its bound."""
+        with self._lock:
+            for key, bound in entries:
+                self._entries.setdefault(key, bound)
+                self._entries.move_to_end(key)
+            while len(self._entries) > self.maxsize:
+                self._entries.popitem(last=False)
+
+    def held(self, keys: Iterable[BoundKey]) -> Dict[BoundKey, LinearStabilityBound]:
+        """The bounds held for ``keys`` (no hit counted)."""
+        with self._lock:
+            return {key: self._entries[key] for key in keys if key in self._entries}
+
+    def cache_info(self) -> BoundTableInfo:
+        with self._lock:
+            return BoundTableInfo(
+                self._hits, self._misses, self.maxsize, len(self._entries)
+            )
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self._hits = self._misses = 0
+
+
+# The process's table is the only cache tier.  Pool workers keep their
+# own for the life of the pool, and a sweep on a pool computes its
+# declared keys once across the workers and ships them with every chunk
+# (``repro.sweep.executor``).  A bespoke disk-backed cross-process memo
+# used to live here; it was retired when sweeps moved onto persistent
+# pools.
+BOUND_TABLE = BoundTable(_BOUND_TABLE_ENTRIES)
+
+#: The lookup every cached bound goes through.  Profilers wrap this
+#: name, so code that installs or inspects entries uses
+#: :data:`BOUND_TABLE` itself.
+_cached_bound = BOUND_TABLE
+
+
+def bound_key(plant: Plant, h: float, nominal_delay: float = 0.0) -> BoundKey:
+    """The table key a cached :func:`stability_bound_for_plant` looks up."""
+    frac = 0.0 if h == 0 else nominal_delay / h
+    return (plant.name, _bucket_period(h), round(frac, 6))
+
+
+def compute_bounds(
+    keys: Sequence[BoundKey],
+) -> List[Tuple[BoundKey, LinearStabilityBound]]:
+    """``(key, bound)`` for each key, computed afresh (no table access).
+
+    Module-level and pure, so an execution plan can split a key list
+    across pool workers; each bound is exactly what a table miss of its
+    key computes.
+    """
+    return [(key, _bound_of_key(key)) for key in keys]
+
+
+def _bound_of_key(key: BoundKey) -> LinearStabilityBound:
     from repro.control.plants import get_plant
 
-    plant = get_plant(plant_name)
-    return _compute_bound(plant, h_bucket, nominal_delay_frac * h_bucket)
+    plant_name, h_bucket, nominal_delay_frac = key
+    return _compute_bound(
+        get_plant(plant_name), h_bucket, nominal_delay_frac * h_bucket
+    )
 
 
 def _compute_bound(plant: Plant, h: float, nominal_delay: float) -> LinearStabilityBound:
@@ -147,5 +244,4 @@ def stability_bound_for_plant(
     """
     if exact_period:
         return _compute_bound(plant, h, nominal_delay)
-    frac = 0.0 if h == 0 else nominal_delay / h
-    return _cached_bound(plant.name, _bucket_period(h), round(frac, 6))
+    return _cached_bound(*bound_key(plant, h, nominal_delay))

@@ -23,12 +23,13 @@ from repro.sweep.result import (
     decode_nonfinite,
     encode_nonfinite,
 )
-from repro.sweep.spec import SweepChunkWorker, SweepSpec, SweepWorker
+from repro.sweep.spec import SweepBoundKeys, SweepChunkWorker, SweepSpec, SweepWorker
 
 __all__ = [
     "SweepSpec",
     "SweepWorker",
     "SweepChunkWorker",
+    "SweepBoundKeys",
     "SweepResult",
     "SweepError",
     "resolve_jobs",

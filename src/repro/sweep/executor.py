@@ -19,6 +19,13 @@ is resolved here, at plan construction, and forwarded as a plan env
 override -- persistent workers forked before a tier toggle still honour
 the caller's setting.
 
+Bound table: a spec may declare the stability-bound keys its items look
+up (``SweepSpec.bound_keys``).  On a multi-worker backend the executor
+lists the pending chunks' keys and computes the missing bounds once, as
+plans split across the workers, then ships every declared bound with
+each chunk call -- otherwise each worker rebuilds the whole table.  The
+artifact's volatile ``meta["bounds"]`` block records the step.
+
 Cache/resume: with a ``cache_dir``, every computed chunk is written to
 its own JSON file keyed by the spec fingerprint; a resumed run loads
 matching chunk files instead of recomputing them, which turns a killed
@@ -105,6 +112,106 @@ def _execute_chunk(
         record["i"] = global_index
         records.append(record)
     return time.perf_counter() - start, records
+
+
+def _execute_chunk_with_bounds(
+    bounds: Optional[Tuple[Tuple[Any, Any], ...]], *chunk_args: Any
+) -> Tuple[float, List[Dict[str, Any]], int]:
+    """Install the sweep's resolved bounds, then run one chunk.
+
+    Returns ``(seconds, records, bound_misses)``: the misses are the
+    bound-table lookups this chunk had to compute itself, counted in the
+    executing process (zero when the resolution step covered every key).
+    """
+    from repro.jittermargin.linearbound import BOUND_TABLE
+
+    if bounds:
+        BOUND_TABLE.install(bounds)
+    misses = BOUND_TABLE.cache_info().misses
+    seconds, records = _execute_chunk(*chunk_args)
+    return seconds, records, BOUND_TABLE.cache_info().misses - misses
+
+
+def _run_split(backend, name: str, fn, values: List[Any], env, *extra: Any) -> List[Any]:
+    """``fn(share, *extra)`` over one share of ``values`` per worker.
+
+    Returns the shares' results in share order.  Shares interleave, so
+    values of uneven cost in runs (bounds of one plant, items of one
+    task count) spread evenly across the workers.
+    """
+    if not values:
+        return []
+    n = min(backend.workers, len(values))
+    shares = [values[k::n] for k in range(n)]
+    plan = ExecutionPlan(
+        name=name,
+        fn=fn,
+        calls=tuple((share,) + extra for share in shares),
+        weights=tuple(len(share) for share in shares),
+        env=env,
+    )
+    return backend.run(plan)
+
+
+#: ``meta["bounds"]`` when the step does not run: serial backend, a
+#: single pending chunk, or a spec that declares no keys.
+_NO_BOUNDS_STEP = {"declared": 0, "computed": 0, "seconds": 0.0, "workers": 0}
+
+
+def _resolve_bounds(
+    spec: SweepSpec,
+    pending: List[Tuple[int, List[Tuple[int, Any]]]],
+    backend,
+    env: Tuple[Tuple[str, str], ...],
+) -> Tuple[Optional[Tuple[Tuple[Any, Any], ...]], Dict[str, Any]]:
+    """Compute the pending chunks' bound keys once, across the workers.
+
+    Two plans split across the backend's workers: the first lists the
+    declared keys of every pending item, the second computes the keys
+    this process's table lacks, which are then installed here.  Returns
+    ``(key, bound)`` for every declared key -- shipped with each chunk
+    call, so neither a pool forked before this sweep nor one rebuilt
+    after a crash recomputes a key -- and the ``meta["bounds"]`` block:
+    keys ``declared``, keys ``computed`` (those this process lacked),
+    ``seconds`` and ``workers``.
+    """
+    from repro.jittermargin.linearbound import BOUND_TABLE, compute_bounds
+
+    start = time.perf_counter()
+    items = [item for _, indexed_items in pending for _, item in indexed_items]
+    try:
+        keys = list(
+            dict.fromkeys(
+                key
+                for share in _run_split(
+                    backend, f"bound-keys-{spec.name}", spec.bound_keys, items,
+                    env, spec.params, spec.seed,
+                )
+                for key in share
+            )
+        )
+        resolved = BOUND_TABLE.held(keys)
+        missing = [key for key in keys if key not in resolved]
+        computed = [
+            entry
+            for share in _run_split(
+                backend, f"bounds-{spec.name}", compute_bounds, missing, env
+            )
+            for entry in share
+        ]
+    except TaskFailed:
+        # An item whose draw or bound fails here fails in its own chunk
+        # too, which reports it under the chunk's index: leave every
+        # lookup lazy.
+        return None, dict(_NO_BOUNDS_STEP)
+    BOUND_TABLE.install(computed)
+    resolved.update(computed)
+    return tuple((key, resolved[key]) for key in keys), {
+        "declared": len(keys),
+        "computed": len(computed),
+        "seconds": time.perf_counter() - start,
+        "workers": backend.workers,
+    }
 
 
 def _chunk_cache_path(
@@ -254,26 +361,10 @@ def run_sweep(
     # the caller's setting.
     from repro.tiers import POPULATION_KERNEL_ENV, resolve_population_flag
 
-    plan = ExecutionPlan(
-        name=f"sweep-{spec.name}",
-        fn=_execute_chunk,
-        calls=tuple(
-            (
-                spec.worker,
-                chunk_index,
-                indexed_items,
-                spec.params,
-                spec.seed,
-                spec.chunk_worker,
-            )
-            for chunk_index, indexed_items in pending
-        ),
-        weights=tuple(len(items) for _, items in pending),
-        env=(
-            (
-                POPULATION_KERNEL_ENV,
-                "on" if resolve_population_flag(None) else "off",
-            ),
+    env = (
+        (
+            POPULATION_KERNEL_ENV,
+            "on" if resolve_population_flag(None) else "off",
         ),
     )
 
@@ -286,12 +377,41 @@ def run_sweep(
             1 if (jobs == 1 or len(pending) <= 1) else jobs
         )
 
+    # On a pool, each worker would otherwise rebuild the whole bound
+    # table; on one worker, lazy lookups compute the same keys without
+    # an up-front draw.
+    bounds, bounds_meta = None, dict(_NO_BOUNDS_STEP)
+    if spec.bound_keys is not None and pending and getattr(backend, "workers", 1) > 1:
+        bounds, bounds_meta = _resolve_bounds(spec, pending, backend, env)
+    # Lookups the chunk calls computed themselves: 0 when the step ran.
+    bounds_meta["chunk_misses"] = 0
+
+    plan = ExecutionPlan(
+        name=f"sweep-{spec.name}",
+        fn=_execute_chunk_with_bounds,
+        calls=tuple(
+            (
+                bounds,
+                spec.worker,
+                chunk_index,
+                indexed_items,
+                spec.params,
+                spec.seed,
+                spec.chunk_worker,
+            )
+            for chunk_index, indexed_items in pending
+        ),
+        weights=tuple(len(items) for _, items in pending),
+        env=env,
+    )
+
     try:
         # Finish (and cache) chunks as they complete, so a killed or
         # failing run leaves every completed chunk on disk for --resume.
         for position, outcome in backend.run_iter(plan):
             chunk_index = pending[position][0]
-            seconds, records = outcome.result
+            seconds, records, bound_misses = outcome.result
+            bounds_meta["chunk_misses"] += bound_misses
             finish_chunk(chunk_index, seconds, records)
     except TaskFailed as failure:
         chunk_index = pending[failure.index][0]
@@ -314,6 +434,7 @@ def run_sweep(
         "n_chunks": len(chunk_list),
         "chunk_size": spec.chunk_size,
         "cache_hits": cache_hits,
+        "bounds": bounds_meta,
     }
     try:
         json.dumps(spec.params)

@@ -27,6 +27,11 @@ SweepChunkWorker = Callable[
     [List[Any], Dict[str, Any], int], List[Dict[str, Any]]
 ]
 
+#: Bound-key signature: ``bound_keys(items, params, seed) -> [key, ...]``
+#: -- the stability-bound table keys (``repro.jittermargin.linearbound.
+#: bound_key``) the worker will look up for these items.
+SweepBoundKeys = Callable[[List[Any], Dict[str, Any], int], List[Tuple]]
+
 
 def _stable_repr(value: Any) -> str:
     """Deterministic, content-sensitive form of a value for fingerprinting.
@@ -95,6 +100,15 @@ class SweepSpec:
         amortise setup across a chunk).  Deliberately *not* part of the
         fingerprint: like the job count, it may not change a single
         record, so cached chunks stay interchangeable with per-item runs.
+    bound_keys:
+        Optional module-level ``bound_keys(items, params, seed)``
+        returning the list of stability-bound table keys the worker looks
+        up for ``items``, without computing any bound.  On a multi-worker
+        backend the executor draws them and computes the missing ones
+        once, split across the workers, and ships them with every chunk,
+        so no worker rebuilds the table.  Not part of the fingerprint
+        either: a bound is a pure function of its key, so no record
+        changes.
     """
 
     name: str
@@ -106,6 +120,7 @@ class SweepSpec:
     volatile_keys: Tuple[str, ...] = ()
     version: int = 1
     chunk_worker: Optional[SweepChunkWorker] = None
+    bound_keys: Optional[SweepBoundKeys] = None
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -113,8 +128,9 @@ class SweepSpec:
         if self.chunk_size < 1:
             raise ModelError(f"chunk_size must be >= 1, got {self.chunk_size}")
         workers = [self.worker]
-        if self.chunk_worker is not None:
-            workers.append(self.chunk_worker)
+        workers += [
+            fn for fn in (self.chunk_worker, self.bound_keys) if fn is not None
+        ]
         for worker in workers:
             qualname = getattr(worker, "__qualname__", "")
             module = getattr(worker, "__module__", "")

@@ -97,7 +97,8 @@ class TestGoldenReport:
         report = analyze(_golden_system())
         out = tmp_path / "report.json"
         report.write(str(out))
-        assert out.read_text() == open(GOLDEN_PATH).read()
+        with open(GOLDEN_PATH) as handle:
+            assert out.read_text() == handle.read()
 
     def test_golden_file_is_schema_valid(self):
         with open(GOLDEN_PATH) as handle:
@@ -192,7 +193,7 @@ class TestSentinelCollidingNames:
         report = analyze(self._system())
         path = tmp_path / "r.json"
         report.write(str(path))
-        raw = json.load(open(path))
+        raw = json.loads(path.read_text())
         assert raw["name"] == "~-Infinity"
         assert raw["tasks"][0]["name"] == "~NaN"
 
@@ -253,7 +254,7 @@ class TestSentinelCollidingNames:
         report = analyze(self._tilde_system())
         path = tmp_path / "r.json"
         report.write(str(path))
-        assert json.load(open(path))["tasks"][0]["name"] == "~~NaN"
+        assert json.loads(path.read_text())["tasks"][0]["name"] == "~~NaN"
         reloaded = AnalysisReport.load(str(path))
         assert reloaded.verdicts[0].name == "~NaN"
         assert reloaded.canonical_json() == report.canonical_json()

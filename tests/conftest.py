@@ -53,3 +53,19 @@ def three_task_set():
             Task(name="lo", period=16.0, wcet=3.0, bcet=2.0, priority=1),
         ]
     )
+
+
+@pytest.fixture
+def cold_bound_table():
+    """An empty stability-bound table for one test; entries come back after.
+
+    Pool workers fork with the table as it is when the pool starts, so a
+    test that counts which process computes each bound needs it cold.
+    """
+    from repro.jittermargin import linearbound
+
+    table = linearbound.BOUND_TABLE
+    saved = table.held(list(table._entries))
+    table.cache_clear()
+    yield
+    table.install(saved.items())

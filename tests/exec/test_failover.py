@@ -88,3 +88,27 @@ class TestScenarioValidationFailover:
         assert survived.canonical_sha256() == serial.canonical_sha256()
         assert backend.failover_items > 0
         assert backend.worker_crashes >= 1
+
+
+class TestBoundPlanFailover:
+    def test_sigkill_before_census_bound_plan_sha_unchanged(
+        self, cold_bound_table
+    ):
+        from repro.experiments.census import sweep_spec
+
+        spec = sweep_spec(task_counts=(3, 4), benchmarks=3, seed=91, chunk_size=2)
+        keys = set(spec.bound_keys(list(spec.items), spec.params, spec.seed))
+        backend = PoolBackend(2, memo_entries=0)
+        try:
+            # The parent table is cold, so the bound plan -- every key to
+            # compute -- is the first plan that meets the broken pool.
+            os.kill(backend.worker_pids()[0], signal.SIGKILL)
+            survived = run_sweep(spec, backend=backend)
+        finally:
+            backend.close()
+        serial = run_sweep(spec, jobs=1)
+        assert survived.canonical_sha256() == serial.canonical_sha256()
+        assert survived.meta["bounds"]["computed"] == len(keys)
+        assert survived.meta["bounds"]["chunk_misses"] == 0
+        assert backend.failover_items > 0
+        assert backend.worker_crashes >= 1

@@ -10,6 +10,9 @@ from repro.errors import ModelError
 from repro.jittermargin.curve import StabilityCurve
 from repro.jittermargin.linearbound import (
     LinearStabilityBound,
+    BoundTable,
+    bound_key,
+    compute_bounds,
     fit_linear_bound,
     stability_bound_for_plant,
 )
@@ -108,3 +111,70 @@ class TestPlantLevelBound:
         plant = get_plant("dc_servo")
         with pytest.raises(ModelError):
             stability_bound_for_plant(plant, 0.0)
+
+
+class TestBoundTable:
+    """The installable, LRU-bounded table behind cached bound lookups."""
+
+    def test_compute_bounds_equals_a_table_miss(self):
+        plant = get_plant("dc_servo")
+        key = bound_key(plant, 0.006)
+        ((computed_key, computed),) = compute_bounds([key])
+        assert computed_key == key
+        assert computed == BoundTable(4)(*key)
+
+    def test_install_keeps_held_objects_and_counts_nothing(self):
+        table = BoundTable(4)
+        first = LinearStabilityBound(a=1.0, b=0.1)
+        table.install([(("p", 0.1, 0.0), first)])
+        table.install([(("p", 0.1, 0.0), LinearStabilityBound(a=1.0, b=0.1))])
+        assert table.held([("p", 0.1, 0.0), ("q", 0.1, 0.0)]) == {
+            ("p", 0.1, 0.0): first
+        }
+        assert table(*("p", 0.1, 0.0)) is first
+        info = table.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 0, 1)
+
+    def test_evicts_least_recently_used_beyond_maxsize(self):
+        table = BoundTable(2)
+        bound = LinearStabilityBound(a=1.0, b=0.1)
+        table.install([(("a", 1.0, 0.0), bound), (("b", 1.0, 0.0), bound)])
+        table("a", 1.0, 0.0)  # "b" is now the least recently used
+        table.install([(("c", 1.0, 0.0), bound)])
+        assert set(table.held([("a", 1.0, 0.0), ("b", 1.0, 0.0), ("c", 1.0, 0.0)])) == {
+            ("a", 1.0, 0.0),
+            ("c", 1.0, 0.0),
+        }
+
+    def test_concurrent_lookups_and_installs_lose_no_update(self):
+        import sys
+        import threading
+
+        plant = get_plant("integrator")
+        keys = [bound_key(plant, h) for h in (0.01, 0.02, 0.04)]
+        installed = compute_bounds(keys[:1])
+        table = BoundTable(8)
+        seen = {key: set() for key in keys}
+        calls = 40
+
+        def caller():
+            for i in range(calls):
+                key = keys[i % len(keys)]
+                seen[key].add(id(table(*key)))
+                table.install(installed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        info = table.cache_info()
+        assert info.hits + info.misses == 8 * calls
+        # Every caller got the one object the table keeps for its key.
+        assert all(len(ids) == 1 for ids in seen.values())

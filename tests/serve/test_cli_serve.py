@@ -11,6 +11,7 @@ import pytest
 
 from repro.api import ControlTaskSystem, analyze
 from repro.cli import main
+from repro.obs.logs import serve_logger
 from repro.serve import (
     AnalysisDaemon,
     run_daemon_in_thread,
@@ -82,8 +83,27 @@ class TestRequestCommand:
         assert "model file" in capsys.readouterr().err
 
 
+@pytest.fixture()
+def restore_serve_logger():
+    """Put the process-global ``repro.serve`` logger back as found.
+
+    ``main(["serve", ...])`` binds it to this test's captured stderr;
+    left bound, every later daemon and pool-crash warning in the session
+    writes to that closed stream.
+    """
+    logger = serve_logger()
+    handlers, level, propagate = list(logger.handlers), logger.level, logger.propagate
+    yield
+    for handler in list(logger.handlers):
+        logger.removeHandler(handler)
+    for handler in handlers:
+        logger.addHandler(handler)
+    logger.setLevel(level)
+    logger.propagate = propagate
+
+
 class TestServeCommand:
-    def test_serve_main_serves_and_shuts_down(self, capsys):
+    def test_serve_main_serves_and_shuts_down(self, capsys, restore_serve_logger):
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
             port = probe.getsockname()[1]

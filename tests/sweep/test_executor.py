@@ -178,6 +178,15 @@ class TestExperimentDeterminism:
         assert serial.canonical_json() == parallel.canonical_json()
 
     @pytest.mark.slow
+    def test_table1_byte_identical_across_jobs(self):
+        from repro.experiments.table1 import sweep_spec
+
+        spec = sweep_spec(task_counts=(4, 8), benchmarks=6, chunk_size=3)
+        serial = run_sweep(spec, jobs=1)
+        parallel = run_sweep(spec, jobs=4)
+        assert serial.canonical_json() == parallel.canonical_json()
+
+    @pytest.mark.slow
     def test_fig5_byte_identical_across_jobs(self):
         from repro.experiments.fig5 import sweep_spec
 
