@@ -73,8 +73,9 @@ def test_kernel_dare(benchmark):
 
 
 # ----------------------------------------------------------------------
-# Population kernel tier: scalar vs within-set batch vs popbatch on
-# mixed 4/8/12-task populations (the census workload shape).
+# Kernel tiers: the reference analyses vs the record kernel vs the
+# stacked kernel on mixed 4/8/12-task populations (the census workload
+# shape).
 # ----------------------------------------------------------------------
 
 
@@ -89,7 +90,7 @@ def tier_population(benchmark_instances):
     return population
 
 
-def _scalar_tier(population):
+def _reference_tier(population):
     from repro.rta.interface import latency_jitter
 
     return [
@@ -98,8 +99,8 @@ def _scalar_tier(population):
     ]
 
 
-def _batch_tier(population):
-    from repro.rta.batch import analyze_taskset
+def _record_tier(population):
+    from repro.rta.popbatch import analyze_taskset
 
     return [analyze_taskset(ts) for ts in population]
 
@@ -107,23 +108,23 @@ def _batch_tier(population):
 def _popbatch_tier(population):
     from repro.rta.popbatch import analyze_population
 
-    return analyze_population(population, population_kernel=True)
+    return analyze_population(population)
 
 
 @pytest.mark.slow
-def test_kernel_tier_scalar(benchmark, tier_population):
-    interfaces = benchmark(_scalar_tier, tier_population)
+def test_kernel_tier_reference(benchmark, tier_population):
+    interfaces = benchmark(_reference_tier, tier_population)
     assert len(interfaces) == len(tier_population)
 
 
 @pytest.mark.slow
-def test_kernel_tier_batch(benchmark, tier_population):
-    analyses = benchmark(_batch_tier, tier_population)
+def test_kernel_tier_record(benchmark, tier_population):
+    analyses = benchmark(_record_tier, tier_population)
     assert len(analyses) == len(tier_population)
 
 
 @pytest.mark.slow
 def test_kernel_tier_popbatch(benchmark, tier_population):
     analyses = benchmark(_popbatch_tier, tier_population)
-    # The stacked tier returns the batch tier's exact analyses.
-    assert analyses == _batch_tier(tier_population)
+    # The stacked kernel returns the record kernel's exact analyses.
+    assert analyses == _record_tier(tier_population)

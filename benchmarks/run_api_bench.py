@@ -2,9 +2,9 @@
 
 The façade's acceptance bar: pushing the census population of task sets
 through ``repro.api.analyze_batch`` must stay within ~10 % of the raw
-PR-1 batched validation path (``rta.batch.analyze_taskset`` driven
-directly by the sweep engine) -- i.e. the typed report layer must not
-tax the hot loop.
+PR-1 batched validation path (``rta.popbatch.analyze_taskset``, the
+per-set record-kernel pass, driven directly by the sweep engine) --
+i.e. the typed report layer must not tax the hot loop.
 
 Both paths analyse the *same* pre-generated population (census-protocol
 benchmarks with valid backtracking assignments; generation and
@@ -34,7 +34,7 @@ import numpy as np
 from repro.api import ControlTaskSystem, analyze_batch
 from repro.assignment.backtracking import assign_backtracking
 from repro.benchgen.taskgen import generate_control_taskset
-from repro.rta.batch import analyze_taskset
+from repro.rta.popbatch import analyze_taskset
 from repro.sweep import SweepSpec, resolve_jobs, run_sweep
 
 

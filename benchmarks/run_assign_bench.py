@@ -9,7 +9,7 @@ algorithm on every instance):
   all emitted assignments are byte-identical;
 * the backtracking and exhaustive searches recompute >= 5x fewer
   predicates than they logically evaluate (cache hits answered by the
-  shared per-instance :class:`repro.search.SearchContext`);
+  shared per-instance :class:`repro.memo.AnalysisMemo`);
 * the engine's wall-clock for the whole suite is measurably below the
   seed loops';
 * the ``assign`` sweep's canonical records (assignments included) are
@@ -47,7 +47,8 @@ from repro.experiments.assign import (  # noqa: E402
     DEFAULT_EXHAUSTIVE_MAX_N,
     sweep_spec,
 )
-from repro.search import SearchContext, run_strategy  # noqa: E402
+from repro.memo import AnalysisMemo  # noqa: E402
+from repro.search import run_strategy  # noqa: E402
 from repro.sweep import resolve_jobs, run_sweep  # noqa: E402
 
 TASK_COUNTS = (4, 6, 8)
@@ -95,12 +96,12 @@ def _run_engine_suite(tasksets) -> Dict[str, Dict[str, Any]]:
         for a in ALGORITHMS
     }
     for (n, index), taskset in tasksets.items():
-        context = SearchContext()
+        memo = AnalysisMemo()
         for algorithm in ALGORITHMS:
             if algorithm == "exhaustive" and n > DEFAULT_EXHAUSTIVE_MAX_N:
                 continue
             start = time.perf_counter()
-            result = run_strategy(algorithm, taskset, context=context)
+            result = run_strategy(algorithm, taskset, memo=memo)
             totals[algorithm]["seconds"] += time.perf_counter() - start
             totals[algorithm]["evaluations"] += result.evaluations
             totals[algorithm]["cache_hits"] += result.cache_hits
@@ -197,7 +198,7 @@ def main() -> int:
         "workload": (
             f"census population, task counts {list(TASK_COUNTS)} x "
             f"{args.benchmarks} benchmarks, full algorithm suite per "
-            "instance on one shared SearchContext (exhaustive capped at "
+            "instance on one shared AnalysisMemo (exhaustive capped at "
             f"n <= {DEFAULT_EXHAUSTIVE_MAX_N}); generation excluded from "
             "the timed region"
         ),

@@ -1,17 +1,12 @@
 """Record ``BENCH_sweep.json``: census sweep timing, phased and tiered.
 
 Runs the anomaly census (the heaviest sweep: generate + assign + three
-detector passes per task set) and records three views:
+detector passes per task set) and records two views:
 
 * **runs** -- wall-clock at each requested ``--jobs`` level through
   ``python -m repro sweep census`` in a fresh interpreter per
   configuration (cold caches, honest numbers), with the canonical
   SHA-256 of each run asserted identical across levels;
-* **population_kernel lanes** -- the same cold run at the first jobs
-  level with the population kernel tier forced on and off
-  (``REPRO_POPULATION_KERNEL``), shas asserted identical, so the
-  recorded speedup of the stacked tier is pinned alongside its
-  byte-identity;
 * **phases** -- one in-process jobs-1 run with the worker's stages
   timed individually: task-set generation + LQG design + stability
   curves (the frequency-domain/margin work), the backtracking
@@ -41,7 +36,7 @@ import time
 SEED_SECONDS_PER_BENCHMARK = 2.076
 
 
-def run_one(benchmarks: int, jobs: int, population_kernel: str = "on") -> dict:
+def run_one(benchmarks: int, jobs: int) -> dict:
     """Run the census sweep in a fresh interpreter; return timing + sha."""
     with tempfile.TemporaryDirectory() as tmp:
         artifact = os.path.join(tmp, f"census-j{jobs}.json")
@@ -62,16 +57,13 @@ def run_one(benchmarks: int, jobs: int, population_kernel: str = "on") -> dict:
             "--cache-dir",
             os.path.join(tmp, "cache"),
         ]
-        env = dict(os.environ)
-        env["REPRO_POPULATION_KERNEL"] = population_kernel
         start = time.perf_counter()
-        subprocess.run(argv, check=True, capture_output=True, env=env)
+        subprocess.run(argv, check=True, capture_output=True)
         wall = time.perf_counter() - start
         with open(artifact) as handle:
             data = json.load(handle)
     return {
         "jobs": jobs,
-        "population_kernel": population_kernel,
         "wall_seconds": round(wall, 2),
         "engine_seconds": round(data["meta"]["elapsed_seconds"], 2),
         "n_items": data["meta"]["n_items"],
@@ -156,13 +148,8 @@ def main() -> int:
     args = parser.parse_args()
 
     runs = [run_one(args.benchmarks, jobs) for jobs in args.jobs]
-    lanes = {
-        "on": runs[0],
-        "off": run_one(args.benchmarks, args.jobs[0], population_kernel="off"),
-    }
     phases = run_phases(args.benchmarks)
     shas = {run["canonical_sha256"] for run in runs}
-    shas.update(lane["canonical_sha256"] for lane in lanes.values())
     shas.add(phases["canonical_sha256"])
     assert len(shas) == 1, f"canonical output differs across runs: {shas}"
 
@@ -176,13 +163,6 @@ def main() -> int:
         "cpu_count": os.cpu_count(),
         "canonical_sha256": runs[0]["canonical_sha256"],
         "runs": runs,
-        "population_kernel_lanes": {
-            "on": lanes["on"],
-            "off": lanes["off"],
-            "speedup_on_vs_off": round(
-                lanes["off"]["wall_seconds"] / lanes["on"]["wall_seconds"], 2
-            ),
-        },
         "phases": phases,
         "seed_reference": {
             "seconds_per_benchmark": SEED_SECONDS_PER_BENCHMARK,

@@ -71,7 +71,7 @@ from repro.api import (
     verdict_from_times,
 )
 from repro.memo import AnalysisMemo
-from repro.search import AssignmentResult, SearchContext
+from repro.search import AssignmentResult
 from repro.errors import (
     DimensionError,
     ModelError,
@@ -84,18 +84,7 @@ from repro.errors import (
 from repro.jittermargin.linearbound import LinearStabilityBound
 from repro.rta.taskset import Task, TaskSet
 
-# -- deprecation-noted aliases -------------------------------------------
-# Kept importable for scripts written against the pre-façade surface; new
-# code should use the repro.api entry points above, which return the same
-# verdicts in the typed report schema.
-from repro.assignment.validate import validate_assignment  # noqa: F401  (alias of analyze().stable per task)
-from repro.rta.batch import analyze_taskset  # noqa: F401  (use analyze())
-from repro.rta.batch import batch_validate  # noqa: F401  (use analyze_batch())
-from repro.rta.interface import response_time_interface  # noqa: F401  (use analyze().verdicts)
-from repro.rta.interface import taskset_is_schedulable  # noqa: F401  (use analyze().schedulable)
-from repro.rta.interface import taskset_is_stable  # noqa: F401  (use analyze().stable)
-
-__version__ = "1.6.0"
+__version__ = "2.0.0"
 
 __all__ = [
     # the analysis façade
@@ -111,7 +100,6 @@ __all__ = [
     "AnalysisMemo",
     "AssignmentOutcome",
     "AssignmentResult",
-    "SearchContext",
     "assign",
     "assign_batch",
     # the task model
@@ -126,12 +114,5 @@ __all__ = [
     "RiccatiError",
     "ScheduleError",
     "UnstableLoopError",
-    # deprecated aliases (pre-façade surface)
-    "validate_assignment",
-    "analyze_taskset",
-    "batch_validate",
-    "response_time_interface",
-    "taskset_is_schedulable",
-    "taskset_is_stable",
     "__version__",
 ]

@@ -10,8 +10,8 @@ verdict):
   higher-priority set (the anomaly detectors' and scenario harness's
   entry point);
 * :func:`analyze` -- a whole :class:`~repro.api.model.ControlTaskSystem`
-  through the batched shared-hp pass of :mod:`repro.rta.batch`, returning
-  a frozen :class:`~repro.api.report.AnalysisReport` (memoised per
+  through the per-set record-kernel pass of :mod:`repro.rta.popbatch`,
+  returning a frozen :class:`~repro.api.report.AnalysisReport` (memoised per
   system);
 * :func:`analyze_batch` -- many systems on the :mod:`repro.sweep` engine,
   with the engine's jobs-independent determinism, chunk cache, and
@@ -41,8 +41,8 @@ from repro.api.report import SCHEMA_VERSION, AnalysisReport, TaskVerdict
 from repro.errors import ModelError
 from repro.exec.workerenv import worker_memo
 from repro.memo import AnalysisMemo
-from repro.rta.batch import analyze_taskset
 from repro.rta.interface import ResponseTimes, latency_jitter
+from repro.rta.popbatch import analyze_population, analyze_taskset
 from repro.rta.taskset import Task, TaskSet
 from repro.search.engine import run_strategy
 from repro.search.result import AssignmentResult
@@ -108,9 +108,9 @@ def analyze(
 
     Accepts a :class:`ControlTaskSystem` (bounds derived from plant
     bindings, priority policy applied, result memoised on the instance)
-    or a bare prioritised :class:`TaskSet`.  The per-task pass runs on
-    the batched shared-hp analysis of :mod:`repro.rta.batch`, so a call
-    costs one priority-ordered sweep regardless of task count.
+    or a bare prioritised :class:`TaskSet`.  Every task runs the record
+    kernel against its hp records (:func:`repro.rta.popbatch
+    .analyze_taskset`).
 
     Passing a shared :class:`~repro.memo.AnalysisMemo` via ``memo=``
     makes repeated analysis of *near*-identical systems incremental:
@@ -125,7 +125,7 @@ def analyze(
         return cached
     taskset = system.resolved_taskset()
     if memo is not None:
-        analysis = memo.taskset_analysis(taskset)
+        (analysis,) = memo.population_analysis([taskset])
     else:
         analysis = analyze_taskset(taskset)
     return _finish_report(system, taskset, analysis)
@@ -509,11 +509,11 @@ def _analyze_inline_population(
 
     Bit-identical to ``[analyze(system) for system in systems]``: the
     per-system report cache behaves the same, and
-    :func:`repro.rta.popbatch.analyze_population` is pinned to the
-    scalar ``analyze_taskset`` results (it also routes small populations
-    straight back through it).  This is what makes a whole sweep chunk,
-    a census, or a :mod:`repro.serve` micro-batch pay one stacked RTA
-    pass instead of one pass per system.
+    :func:`repro.rta.popbatch.analyze_population` (whose one-set case is
+    ``analyze_taskset``) poses every task of every system to one
+    :func:`~repro.rta.popbatch.evaluate_problems` call.  This is what
+    makes a whole sweep chunk, a census, or a :mod:`repro.serve`
+    micro-batch pay one stacked RTA pass instead of one pass per system.
 
     ``memo`` layers a shared :class:`~repro.memo.AnalysisMemo` *onto*
     the population tier (:meth:`~repro.memo.AnalysisMemo.
@@ -534,8 +534,6 @@ def _analyze_inline_population(
         if memo is not None:
             analyses = memo.population_analysis(tasksets)
         else:
-            from repro.rta.popbatch import analyze_population
-
             analyses = analyze_population(tasksets)
         for k, taskset, analysis in zip(pending, tasksets, analyses):
             reports[k] = _finish_report(systems[k], taskset, analysis)

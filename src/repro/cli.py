@@ -92,7 +92,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Any, Dict, List, Optional
 
@@ -136,15 +135,6 @@ def _add_jobs_option(parser: argparse.ArgumentParser) -> None:
         default=1,
         help="worker processes for the underlying sweep "
         "(default 1; 0 or 'auto' = all cores)",
-    )
-    parser.add_argument(
-        "--population-kernel",
-        choices=("on", "off"),
-        default=None,
-        help="population-vectorised kernel tier (stacked RTA fixed "
-        "points and stacked frequency-response solves; bit-identical "
-        "results either way).  Default: on, or the "
-        "REPRO_POPULATION_KERNEL environment variable",
     )
 
 
@@ -1314,13 +1304,6 @@ def _run_obs_replay(path: str) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    population = getattr(args, "population_kernel", None)
-    if population is not None:
-        # Through the environment so forked sweep workers and daemon
-        # shards inherit the tier selection.
-        from repro.tiers import POPULATION_KERNEL_ENV
-
-        os.environ[POPULATION_KERNEL_ENV] = population
     if args.experiment == "all":
         for name in _ALL_ORDER:
             print(run_experiment(name).render())

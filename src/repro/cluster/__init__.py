@@ -10,9 +10,8 @@ Two ways to put more cores behind :mod:`repro.serve`:
   its own :class:`~repro.memo.AnalysisMemo`.  A worker crash fails the
   affected items over to in-process computation -- accepted requests
   are never dropped -- and the pool is rebuilt.  The backend itself
-  now lives on the execution plane as :class:`repro.exec.PoolBackend`
-  (shared by sweeps and batch facades); ``repro.cluster.pool`` is a
-  deprecated import shim.
+  lives on the execution plane as :class:`repro.exec.PoolBackend`
+  (shared by sweeps and batch facades).
 
 * **SO_REUSEPORT sharded daemons**
   (:class:`~repro.cluster.shard.ShardManager`, ``repro serve
@@ -26,8 +25,8 @@ Two ways to put more cores behind :mod:`repro.serve`:
 Both modes preserve the serving contract: responses are byte-identical
 to direct façade calls at every worker count.
 
-Exports resolve lazily (PEP 562) so :mod:`repro.serve` can import the
-pool backend without a circular import through the shard manager.
+Exports resolve lazily (PEP 562) so importing the package does not
+pull in the shard manager.
 """
 
 from __future__ import annotations
@@ -35,8 +34,6 @@ from __future__ import annotations
 import importlib
 
 _EXPORTS = {
-    "ProcessPoolBackend": "repro.cluster.pool",
-    "compute_one": "repro.cluster.pool",
     "ShardManager": "repro.cluster.shard",
     "ClusterError": "repro.cluster.shard",
     "aggregate_stats": "repro.cluster.aggregate",

@@ -9,16 +9,14 @@ search census suites, the experiments runner, and the serve daemon's
 * :class:`~repro.exec.backends.SerialBackend` -- in-process, with a
   backend-lifetime ambient :class:`~repro.memo.AnalysisMemo`;
 * :class:`~repro.exec.backends.PoolBackend` -- a persistent process
-  pool (promoted from ``cluster.ProcessPoolBackend``) with eager
-  pre-fork, worker-lifetime memos installed by the pool initializer,
-  crash containment with in-process failover + pool rebuild, and
-  contiguous order-preserving slices for serving batches.
+  pool with eager pre-fork, worker-lifetime memos installed by the pool
+  initializer, crash containment with in-process failover + pool
+  rebuild, and contiguous order-preserving slices for serving batches.
 
 Shared guarantees, identical under every backend: results keyed and
 returned in call order (canonical JSON byte-identity across ``--jobs``),
-env-gated kernel tiers resolved at plan construction (bit-identical
-popbatch path), worker-lifetime memo reuse opt-in per call site, and
-uniform ``repro_exec_*`` metrics (call wall-time, crashes, failover,
+worker-lifetime memo reuse opt-in per call site, and uniform
+``repro_exec_*`` metrics (call wall-time, crashes, failover,
 memo hit rates).
 
 ``--jobs`` semantics live in :func:`~repro.exec.jobs.resolve_jobs`,

@@ -2,12 +2,11 @@
 
 Both backends dispatch :class:`~repro.exec.plan.ExecutionPlan` calls
 through the same worker shim (:func:`~repro.exec.workerenv.invoke`), so
-timing, env-gated tiers, and worker-lifetime memo accounting are
-identical wherever a plan runs.  The pool backend is the promotion of
-the daemon's ``cluster.ProcessPoolBackend``: eager pre-fork, a
-worker-lifetime :class:`~repro.memo.AnalysisMemo` installed by the pool
-initializer, contiguous order-preserving slices for serving batches,
-and crash containment -- a worker dying mid-plan (OOM killer, segfault
+timing and worker-lifetime memo accounting are identical wherever a
+plan runs.  The pool backend adds eager pre-fork, a worker-lifetime
+:class:`~repro.memo.AnalysisMemo` installed by the pool initializer,
+contiguous order-preserving slices for serving batches, and crash
+containment -- a worker dying mid-plan (OOM killer, segfault
 in a native kernel) breaks the whole ``concurrent.futures`` pool, so
 affected calls **fail over to in-process recomputation**, the pool is
 rebuilt, and the event is counted (``worker_crashes``,
@@ -151,7 +150,7 @@ class SerialBackend(_Backend):
         with ambient_memo(self.memo):
             for index, args in enumerate(plan.calls):
                 try:
-                    outcome = invoke(plan.fn, args, plan.env)
+                    outcome = invoke(plan.fn, args)
                 except Exception as exc:
                     raise TaskFailed(plan, index, exc) from exc
                 self._observe(plan, ins, outcome)
@@ -251,7 +250,7 @@ class PoolBackend(_Backend):
         else:
             for index, args in enumerate(plan.calls):
                 try:
-                    future = executor.submit(invoke, plan.fn, args, plan.env)
+                    future = executor.submit(invoke, plan.fn, args)
                 except (BrokenProcessPool, OSError, RuntimeError) as exc:
                     crashed = exc
                     unsubmitted = list(range(index, plan.n_calls))
@@ -287,7 +286,7 @@ class PoolBackend(_Backend):
         self.failover_items += weight
         ins.failover_items_total.inc(weight, plan=plan.name, backend=self.kind)
         try:
-            outcome = invoke(plan.fn, plan.calls[index], plan.env)
+            outcome = invoke(plan.fn, plan.calls[index])
         except Exception as exc:
             raise TaskFailed(plan, index, exc) from exc
         self._observe(plan, ins, outcome, "failover")
@@ -314,8 +313,7 @@ class PoolBackend(_Backend):
 
         Facade calls never raise (poisoned payloads come back as error
         bodies), so the only failure mode here is a pool crash -- which
-        fails over in-process per slice, exactly the old
-        ``cluster.ProcessPoolBackend`` contract.
+        fails over in-process per slice.
         """
         slices = self._slice(payloads)
         plan = ExecutionPlan(

@@ -9,16 +9,13 @@ backend-agnostic and picklable by construction.
 Determinism contract: results are keyed by call index, and every
 backend yields each index exactly once; :meth:`~repro.exec.backends`
 ``run`` methods return results in call order regardless of completion
-order.  Environment overrides (``env``) are resolved at *plan
-construction* and applied around each call in the worker, so env-gated
-tiers (the population kernels) behave identically under short-lived
-serial dispatch and long-lived persistent pools.
+order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Optional, Tuple
 
 from repro.exec.jobs import ExecError
 
@@ -52,17 +49,12 @@ class ExecutionPlan:
         Optional per-call item counts (a chunked call covering 32 items
         has weight 32).  Used for failover accounting; defaults to 1
         per call.
-    env:
-        Environment overrides applied around each call in the executing
-        process.  Resolved at plan construction so persistent workers
-        forked earlier still honour the caller's tier gates.
     """
 
     name: str
     fn: Callable[..., Any]
     calls: Tuple[Tuple[Any, ...], ...]
     weights: Optional[Tuple[int, ...]] = None
-    env: Optional[Tuple[Tuple[str, str], ...]] = None
 
     def __post_init__(self):
         if not self.name:
@@ -77,10 +69,6 @@ class ExecutionPlan:
                     f"{len(self.calls)} calls"
                 )
             object.__setattr__(self, "weights", weights)
-        if self.env is not None and not isinstance(self.env, tuple):
-            object.__setattr__(
-                self, "env", tuple(sorted(dict(self.env).items()))
-            )
 
     @property
     def n_calls(self) -> int:

@@ -16,9 +16,8 @@ validation only.
 
 from __future__ import annotations
 
-import os
 import time
-from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
+from typing import Any, Callable, NamedTuple, Tuple
 
 #: Worker-lifetime memo, installed by :func:`initialize_worker` (pool
 #: workers) or :func:`ambient_memo` (serial backend).  ``None`` means
@@ -81,28 +80,6 @@ class ambient_memo:
         _WORKER_MEMO = self._previous
 
 
-class _env_overrides:
-    """Apply a plan's env overrides around one call, then restore."""
-
-    def __init__(self, env: Optional[Tuple[Tuple[str, str], ...]]):
-        self.env = env
-        self._saved: Dict[str, Optional[str]] = {}
-
-    def __enter__(self) -> None:
-        if self.env:
-            for key, value in self.env:
-                self._saved[key] = os.environ.get(key)
-                os.environ[key] = value
-
-    def __exit__(self, *exc_info) -> None:
-        for key, previous in self._saved.items():
-            if previous is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = previous
-        self._saved.clear()
-
-
 class TaskOutcome(NamedTuple):
     """One executed plan call, with worker-side accounting.
 
@@ -117,21 +94,16 @@ class TaskOutcome(NamedTuple):
     result: Any
 
 
-def invoke(
-    fn: Callable[..., Any],
-    args: Tuple[Any, ...],
-    env: Optional[Tuple[Tuple[str, str], ...]] = None,
-) -> TaskOutcome:
+def invoke(fn: Callable[..., Any], args: Tuple[Any, ...]) -> TaskOutcome:
     """Run one plan call in this process; module-level so pools can
     pickle it.  This is the single choke point every backend funnels
-    calls through -- timing, env overrides, and memo accounting behave
-    identically in-process and in pool workers."""
+    calls through -- timing and memo accounting behave identically
+    in-process and in pool workers."""
     memo = _WORKER_MEMO
     if memo is not None:
         before = memo.stats()
     start = time.perf_counter()
-    with _env_overrides(env):
-        result = fn(*args)
+    result = fn(*args)
     seconds = time.perf_counter() - start
     hits = recomputations = 0
     if memo is not None:

@@ -74,9 +74,9 @@ def _table1_worker(
 
     Uses the same ``(seed, n, index)`` child-generator protocol as
     :func:`~repro.benchgen.taskgen.generate_benchmark_suite`; validation
-    routes through the analysis façade (which runs the batched RTA fast
-    path -- equivalence with the per-task validator is pinned by the
-    ``rta.batch`` and ``api`` tests).
+    routes through the analysis façade (which runs the record kernel
+    per task -- equivalence with the per-task validator is pinned by the
+    ``rta`` and ``api`` tests).
     """
     n, index = item["n"], item["index"]
     rng = np.random.default_rng([seed, n, index])

@@ -41,7 +41,7 @@ library.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,7 +53,7 @@ from repro.jittermargin.margin import (
 )
 from repro.lti.discretize import c2d_zoh_delay_stacks
 from repro.lti.statespace import StateSpace
-from repro.tiers import observe_tier, resolve_population_flag
+from repro.tiers import observe_tier
 
 #: Latency sweeps smaller than this run the scalar loop: the stacked
 #: setup (eig + residues) costs about as much as a handful of margins.
@@ -156,21 +156,17 @@ def population_margins(
     latencies: Sequence[float],
     *,
     omega: Optional[np.ndarray] = None,
-    population_kernel: Union[None, bool, str] = None,
 ) -> np.ndarray:
     """Jitter margins at many latencies of one plant/controller loop.
 
     Bit-identical to ``[jitter_margin(plant, controller, h, l,
-    omega=omega) for l in latencies]``; the ``population_kernel`` escape
-    hatch and sweeps below :data:`MIN_CURVE_POPULATION` run exactly that
-    loop.
+    omega=omega) for l in latencies]``; sweeps below
+    :data:`MIN_CURVE_POPULATION` run exactly that loop.
     """
     lat = [float(l) for l in latencies]
     if omega is None:
         omega = default_frequency_grid(h)
-    if not resolve_population_flag(population_kernel) or (
-        len(lat) < MIN_CURVE_POPULATION
-    ):
+    if len(lat) < MIN_CURVE_POPULATION:
         if lat:
             observe_tier("margin-scalar", len(lat), len(lat))
         return np.array(

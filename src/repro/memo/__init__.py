@@ -15,17 +15,15 @@ search-private helper into a first-class layer the whole stack consumes:
   safe (the serve daemon's dispatch thread and event loop share one) and
   process-lifetime-capable: ``max_entries`` bounds the memo with LRU
   eviction, ``stats()`` snapshots the counters consistently.
-* :mod:`~repro.memo.kernels` -- the float-exact evaluation kernels
-  (moved here from ``repro.search.kernels``, which re-exports them):
-  bit-identical to the scalar analyses of :mod:`repro.rta` for the same
-  hp enumeration order.
+* :mod:`~repro.memo.kernels` -- the record kernel, the one scalar RTA
+  fixed point every analysis runs: bit-identical to the reference
+  analyses of :mod:`repro.rta` for the same hp enumeration order.
 * :class:`~repro.memo.core.MemoRun` -- one strategy/analysis run on a
   memo: its own logical counter, the shared subproblem cache.
 
 Consumers:
 
-* ``repro.search`` strategies run on a memo (``SearchContext`` is now a
-  deprecated alias);
+* ``repro.search`` strategies run on a memo;
 * the :mod:`repro.api` facade routes ``analyze()``/``assign()`` per-task
   evaluations through an optional ``memo=`` argument;
 * the :mod:`repro.serve` daemon keeps one daemon-lifetime memo so a

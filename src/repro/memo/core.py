@@ -43,8 +43,7 @@ from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.errors import ModelError
 from repro.memo.kernels import TaskRecord, evaluate_candidate, make_record
-from repro.rta.batch import TasksetAnalysis
-from repro.rta.interface import ResponseTimes
+from repro.rta.interface import TasksetAnalysis
 from repro.rta.taskset import Task, TaskSet
 
 #: Memo value: ``(best, worst, slack)`` of one (task, hp-set) subproblem.
@@ -89,8 +88,7 @@ class AnalysisMemo:
     """Shared subproblem memo + interning across analyses and task sets.
 
     Thread safe; optionally size-bounded (``max_entries``) with LRU
-    eviction for daemon-lifetime use.  ``SearchContext`` is the
-    deprecated pre-1.4 name of this class.
+    eviction for daemon-lifetime use.
     """
 
     def __init__(self, *, max_entries: Optional[int] = None) -> None:
@@ -187,160 +185,49 @@ class AnalysisMemo:
             }
 
     # -- whole-taskset analysis ---------------------------------------------
-    def taskset_analysis(
-        self, taskset: TaskSet, counter: Optional[EvaluationCounter] = None
-    ) -> TasksetAnalysis:
-        """Memoised drop-in for :func:`repro.rta.batch.analyze_taskset`.
-
-        Each task is evaluated against its hp-set in *task-set order*
-        (exactly ``taskset.higher_priority(task)``), the scalar-contract
-        enumeration, so the resulting interfaces -- and hence canonical
-        report bytes -- are identical to the fresh pass while paying only
-        for subproblems whose ``(task, hp-set)`` key is new.
-        """
-        taskset.check_distinct_priorities()
-        if counter is None:
-            counter = EvaluationCounter()
-        tasks = list(taskset)
-        ids = self.intern_all(tasks)
-        priorities = [task.priority for task in tasks]
-        # hp ids in task-set order -- exactly the
-        # ``taskset.higher_priority(task)`` enumeration (priorities
-        # are distinct), without re-interning per task.
-        hp_lists = [
-            [ids[j] for j, other in enumerate(priorities) if other > priority]
-            for priority in priorities
-        ]
-        entries = self._entries(ids, hp_lists, counter)
-        return self._assemble_analysis(tasks, entries)
-
-    @staticmethod
-    def _assemble_analysis(
-        tasks: Sequence[Task], entries: Sequence[MemoEntry]
-    ) -> TasksetAnalysis:
-        """Build a :class:`TasksetAnalysis` from per-task memo entries."""
-        times: Dict[str, ResponseTimes] = {}
-        violating: List[str] = []
-        for task, entry in zip(tasks, entries):
-            interface = ResponseTimes(best=entry[0], worst=entry[1])
-            times[task.name] = interface
-            ok = interface.finite
-            if ok and task.stability is not None:
-                ok = task.stability.is_stable(
-                    interface.latency, interface.jitter
-                )
-            if not ok:
-                violating.append(task.name)
-        return TasksetAnalysis(
-            times=times,
-            deadlines_met=all(t.finite for t in times.values()),
-            stable=not violating,
-            violating=tuple(violating),
-        )
-
     def population_analysis(
         self,
         tasksets: Sequence[TaskSet],
         counter: Optional[EvaluationCounter] = None,
     ) -> List[TasksetAnalysis]:
-        """Memoised drop-in for :func:`repro.rta.popbatch.analyze_population`.
+        """Memoised drop-in for :func:`repro.rta.popbatch.analyze_population`
+        (and, on a one-set list, for ``analyze_taskset``).
 
-        Semantically identical to calling :meth:`taskset_analysis` on
-        each set in order -- same results (bit-identical floats, by the
-        ``evaluate_problems`` pin), same counter totals (a subproblem
-        repeated across the population is a miss on first sight and a
-        hit on every repeat, exactly as sequential memoisation would
-        count it) -- but every first-sight miss across the *whole
-        population* rides one stacked kernel pass.  This is what keeps
-        the population-kernel tier intact when a worker-lifetime memo
-        is layered onto the batch analysis path.
+        Each task is evaluated against its hp-set in *task-set order*
+        (exactly ``taskset.higher_priority(task)``), so the interfaces
+        -- and hence canonical report bytes -- are identical to the
+        fresh pass while paying only for subproblems whose ``(task,
+        hp-set)`` key is new.  Counters are those of analysing the sets
+        one after another: a subproblem repeated across the population
+        is a miss on first sight and a hit on every repeat.
         """
-        from repro.rta.popbatch import evaluate_problems
-
         if counter is None:
             counter = EvaluationCounter()
-        per_set: List[Tuple[List[Task], List[int], List[List[int]]]] = []
+        task_lists: List[List[Task]] = []
+        tids: List[int] = []
+        hp_lists: List[List[int]] = []
         for taskset in tasksets:
             taskset.check_distinct_priorities()
             tasks = list(taskset)
             ids = self.intern_all(tasks)
             priorities = [task.priority for task in tasks]
-            hp_lists = [
+            # hp ids in task-set order -- exactly the
+            # ``taskset.higher_priority(task)`` enumeration (priorities
+            # are distinct), without re-interning per task.
+            hp_lists.extend(
                 [ids[j] for j, other in enumerate(priorities) if other > priority]
                 for priority in priorities
-            ]
-            per_set.append((tasks, ids, hp_lists))
-
-        flat_tids = [tid for _, ids, _ in per_set for tid in ids]
-        flat_hp = [hp for _, _, hp_lists in per_set for hp in hp_lists]
-        keys = [
-            (tid, frozenset(hp)) for tid, hp in zip(flat_tids, flat_hp)
-        ]
-        n = len(keys)
-        bounded = self.max_entries is not None
-        entries: List[Optional[MemoEntry]] = [None] * n
-        hits = 0
-        misses: List[int] = []
-        first_at: Dict[Tuple[int, FrozenSet[int]], int] = {}
-        pending: List[Tuple[int, int]] = []
-        with self._lock:
-            for i, key in enumerate(keys):
-                stored = self.memo.get(key)
-                if stored is not None:
-                    hits += 1
-                    if bounded:
-                        self.memo.move_to_end(key)
-                    entries[i] = stored
-                elif key in first_at:
-                    # Sequentially this would hit the entry the earlier
-                    # miss had just stored; count it as a hit and copy
-                    # the computed value once it exists.
-                    hits += 1
-                    pending.append((i, first_at[key]))
-                else:
-                    first_at[key] = i
-                    misses.append(i)
-            records = self._records
-            problems = [
-                (records[flat_tids[i]], [records[t] for t in flat_hp[i]])
-                for i in misses
-            ]
-        if misses:
-            kernel_start = time.perf_counter()
-            try:
-                computed = evaluate_problems(problems)
-            except Exception:
-                # A kernel error: replay the sequential enumeration so
-                # the exception -- and the counter state it leaves
-                # behind -- match the per-set path exactly (nothing was
-                # stored or ticked yet).
-                return [
-                    self.taskset_analysis(taskset, counter)
-                    for taskset in tasksets
-                ]
-            kernel_elapsed = time.perf_counter() - kernel_start
-        counter.count += n
-        counter.hits += hits
-        with self._lock:
-            self.total.count += n
-            self.total.hits += hits
-            if misses:
-                self.kernel_seconds += kernel_elapsed
-                for i, value in zip(misses, computed):
-                    stored = self.memo.setdefault(keys[i], value)
-                    entries[i] = stored
-                    if stored is value and bounded:
-                        while len(self.memo) > self.max_entries:
-                            self.memo.popitem(last=False)
-                            self.evictions += 1
-        for i, j in pending:
-            entries[i] = entries[j]
+            )
+            tids.extend(ids)
+            task_lists.append(tasks)
+        entries = self._entries(tids, hp_lists, counter)
         results: List[TasksetAnalysis] = []
         offset = 0
-        for tasks, _, _ in per_set:
-            chunk = entries[offset : offset + len(tasks)]
+        for tasks in task_lists:
+            results.append(
+                TasksetAnalysis.build(tasks, entries[offset : offset + len(tasks)])
+            )
             offset += len(tasks)
-            results.append(self._assemble_analysis(tasks, chunk))
         return results
 
     # -- evaluation core -----------------------------------------------------
@@ -380,14 +267,22 @@ class AnalysisMemo:
         kernel_elapsed = time.perf_counter() - kernel_start
         with self._lock:
             self.kernel_seconds += kernel_elapsed
-            # Put-if-absent: the first evaluation fixes the value, so a
-            # racing thread that computed concurrently adopts the stored
-            # entry (all enumeration orders of interest agree anyway).
-            stored = self.memo.setdefault(memo_key, entry)
-            if stored is entry and bounded:
-                while len(self.memo) > self.max_entries:
-                    self.memo.popitem(last=False)
-                    self.evictions += 1
+            return self._store(memo_key, entry)
+
+    def _store(
+        self, memo_key: Tuple[int, FrozenSet[int]], entry: MemoEntry
+    ) -> MemoEntry:
+        """Put-if-absent, then LRU eviction past the bound; lock held.
+
+        The first evaluation fixes the value, so a racing thread that
+        computed concurrently adopts the stored entry (all enumeration
+        orders of interest agree anyway).
+        """
+        stored = self.memo.setdefault(memo_key, entry)
+        if stored is entry and self.max_entries is not None:
+            while len(self.memo) > self.max_entries:
+                self.memo.popitem(last=False)
+                self.evictions += 1
         return stored
 
     def _entries(
@@ -398,32 +293,39 @@ class AnalysisMemo:
     ) -> List[MemoEntry]:
         """Batched :meth:`_entry`: memo misses evaluate as one population.
 
-        The ``(tid, hp-set)`` pairs must be pairwise distinct (both
-        callers -- a task set's per-task pass and a search level's
-        sibling scoring -- guarantee it, because task ids within one
-        call are distinct), so the hit/miss pattern and counter totals
-        are exactly those of per-pair :meth:`_entry` calls, while the
-        misses ride one :func:`repro.rta.popbatch.evaluate_problems`
-        pass (pinned bit-identical to per-candidate
+        The hit/miss pattern and counter totals are exactly those of
+        per-pair :meth:`_entry` calls in input order -- a pair repeated
+        in the input counts as a hit and copies its first occurrence's
+        value -- while the first-sight misses ride one
+        :func:`repro.rta.popbatch.evaluate_problems` pass (pinned
+        bit-identical to per-candidate
         :func:`~repro.memo.kernels.evaluate_candidate` calls).
         """
         from repro.rta.popbatch import evaluate_problems
 
-        n = len(tids)
+        keys = [(tid, frozenset(hp)) for tid, hp in zip(tids, hp_lists)]
+        n = len(keys)
         bounded = self.max_entries is not None
         entries: List[Optional[MemoEntry]] = [None] * n
-        misses: List[int] = []
         hits = 0
+        misses: List[int] = []
+        first_at: Dict[Tuple[int, FrozenSet[int]], int] = {}
+        repeats: List[Tuple[int, int]] = []
         with self._lock:
-            for i, tid in enumerate(tids):
-                memo_key = (tid, frozenset(hp_lists[i]))
-                stored = self.memo.get(memo_key)
+            for i, key in enumerate(keys):
+                stored = self.memo.get(key)
                 if stored is not None:
                     hits += 1
                     if bounded:
-                        self.memo.move_to_end(memo_key)
+                        self.memo.move_to_end(key)
                     entries[i] = stored
+                elif key in first_at:
+                    # Sequentially this would hit the entry the earlier
+                    # miss had just stored; copy it once it exists.
+                    hits += 1
+                    repeats.append((i, first_at[key]))
                 else:
+                    first_at[key] = i
                     misses.append(i)
             records = self._records
             problems = [
@@ -436,12 +338,12 @@ class AnalysisMemo:
                 computed = evaluate_problems(problems)
             except Exception:
                 # A kernel error (non-convergent fixed point): replay the
-                # scalar enumeration so the exception -- and the counter
+                # pairs one by one so the exception -- and the counter
                 # state it leaves behind -- match the serial path exactly
                 # (nothing was stored or ticked yet).
                 return [
-                    self._entry(tid, hp_lists[i], frozenset(hp_lists[i]), counter)
-                    for i, tid in enumerate(tids)
+                    self._entry(tid, hp, key[1], counter)
+                    for tid, hp, key in zip(tids, hp_lists, keys)
                 ]
             kernel_elapsed = time.perf_counter() - kernel_start
         counter.count += n
@@ -452,16 +354,9 @@ class AnalysisMemo:
             if misses:
                 self.kernel_seconds += kernel_elapsed
                 for i, value in zip(misses, computed):
-                    # Put-if-absent, like _entry: a racing thread's
-                    # stored entry wins (both are bit-identical anyway).
-                    stored = self.memo.setdefault(
-                        (tids[i], frozenset(hp_lists[i])), value
-                    )
-                    entries[i] = stored
-                    if stored is value and bounded:
-                        while len(self.memo) > self.max_entries:
-                            self.memo.popitem(last=False)
-                            self.evictions += 1
+                    entries[i] = self._store(keys[i], value)
+        for i, j in repeats:
+            entries[i] = entries[j]
         return entries  # type: ignore[return-value]
 
 

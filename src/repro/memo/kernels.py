@@ -13,15 +13,22 @@ once.
 Equivalence contract (the foundation of the golden tests in
 ``tests/search/`` and the byte-equivalence tests in ``tests/memo/``):
 for the same candidate and the same hp *order*, these kernels return
-bit-identical floats to the scalar analyses of :mod:`repro.rta.wcrt` /
-:mod:`repro.rta.bcrt` -- same accumulation order, same guarded
-ceilings, same convergence tests.  This is deliberately *stricter* than
-:mod:`repro.rta.batch` (whose priority-ordered pass is documented to
-differ in the last ulp): assignment searches sort candidates by slack,
-and an ulp can flip an argmax.
+bit-identical floats to the reference analyses of :mod:`repro.rta.wcrt`
+/ :mod:`repro.rta.bcrt` with ``limit = period`` -- same accumulation
+order, same guarded ceilings, same convergence tests.  Assignment
+searches sort candidates by slack, and an ulp can flip an argmax.  This
+is the one scalar kernel of the library: small problem lists of
+:func:`repro.rta.popbatch.evaluate_problems`, the memo, and the stacked
+tier's straggler fallback all run it, so memoised, served, population
+and fresh analyses agree by construction.
 
-Moved here from ``repro.search.kernels`` (which re-exports these names
-unchanged) when the memo became a shared layer.
+The WCRT side exits early: an empty hp set returns ``wcet``; a first
+iterate ``wcet + sum(hp wcet)`` past the period, or an hp utilisation
+``+ 1e-12 >= 1`` under a finite period, returns ``inf`` without
+iterating.  The first two are exact shortcuts of the iteration -- every
+guarded ceiling factor is at least 1 at ``response = wcet`` -- and the
+reference makes the third itself, which spares a saturated hp set its
+10 000-step walk to a :class:`~repro.errors.ScheduleError`.
 """
 
 from __future__ import annotations
@@ -60,17 +67,23 @@ def make_record(
 def _wcrt_exact(
     wcet: float, period: float, hp: Sequence[TaskRecord], name: str
 ) -> float:
-    """Replica of :func:`repro.rta.wcrt.worst_case_response_time` with
-    ``limit = period`` (the implicit deadline every search predicate uses).
-
-    The scalar analysis also derives the hp utilisation, but with a finite
-    limit only consults it on the infinite-limit path -- so skipping it
-    here changes no result.
-    """
+    """:func:`repro.rta.wcrt.worst_case_response_time` with ``limit =
+    period`` (the implicit deadline every predicate uses)."""
+    if not hp:
+        return wcet
+    hp_wcet_sum = 0.0
+    hp_util = 0.0
+    for record in hp:
+        hp_wcet_sum += record[1]
+        hp_util += record[1] / record[0]
+    if wcet + hp_wcet_sum > period or (
+        hp_util + 1e-12 >= 1.0 and period != _INF
+    ):
+        return _INF
     # Hot loop: the branchy max/abs/int builtins of the reference
-    # analysis are unrolled into arithmetic on the (non-negative)
-    # quotient -- every comparison sees the same floats, so the factor
-    # and convergence decisions are unchanged bit for bit.
+    # analysis are unrolled into arithmetic on the (positive) quotient
+    # -- every comparison sees the same floats, so the factor and
+    # convergence decisions are unchanged bit for bit.
     ceil = math.ceil
     rtol = _CEIL_RTOL
     response = wcet
@@ -83,7 +96,8 @@ def _wcrt_exact(
             if diff < 0.0:
                 diff = -diff
             if diff <= rtol * (quotient if quotient > 1.0 else 1.0):
-                factor = nearest
+                # A positive quotient is never zero jobs.
+                factor = nearest or 1
             else:
                 factor = ceil(quotient)
             interference += factor * record[1]
@@ -103,7 +117,7 @@ def _wcrt_exact(
 
 
 def _bcrt_exact(bcet: float, hp: Sequence[TaskRecord], name: str) -> float:
-    """Replica of :func:`repro.rta.bcrt.best_case_response_time`."""
+    """:func:`repro.rta.bcrt.best_case_response_time` over records."""
     bcet_util = 0.0
     for record in hp:
         bcet_util += record[3]
@@ -150,15 +164,22 @@ def _bcrt_exact(bcet: float, hp: Sequence[TaskRecord], name: str) -> float:
 def evaluate_candidate(
     record: TaskRecord, hp: Sequence[TaskRecord]
 ) -> Tuple[float, float, float]:
-    """``(best, worst, slack)`` of one candidate at the lowest priority.
+    """``(best, worst, slack)`` of one candidate at the lowest priority."""
+    worst = _wcrt_exact(record[1], record[0], hp, record[5])
+    best = _bcrt_exact(record[2], hp, record[5])
+    return candidate_entry(record, best, worst)
+
+
+def candidate_entry(
+    record: TaskRecord, best: float, worst: float
+) -> Tuple[float, float, float]:
+    """``(best, worst, slack)`` of a candidate's response times.
 
     The slack convention matches
     :func:`repro.assignment.predicate.stability_slack`: ``-inf`` on a
     deadline miss, the (scaled) deadline slack for tasks without a
     stability bound, the signed bound margin otherwise.
     """
-    worst = _wcrt_exact(record[1], record[0], hp, record[5])
-    best = _bcrt_exact(record[2], hp, record[5])
     if worst == _INF:
         return best, worst, _NEG_INF
     bound = record[4]

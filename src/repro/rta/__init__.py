@@ -12,6 +12,11 @@ analyses the paper builds on:
 * :mod:`~repro.rta.interface` -- the latency/jitter interface of eq. (2):
   ``L_i = R^b_i``, ``J_i = R^w_i - R^b_i``, plus schedulability and
   stability checks of complete priority assignments.
+* :mod:`~repro.rta.popbatch` -- whole task sets and populations on the
+  record kernel of :mod:`repro.memo.kernels` and its stacked twin.
+
+``wcrt``/``bcrt`` are the readable reference the equivalence suites
+compare the kernels against.
 """
 
 from repro.rta.bcrt import best_case_response_time

@@ -1,21 +1,29 @@
-"""Population-vectorised RTA: stacked fixed points across task sets.
+"""Task-set and population RTA: one stacked fixed point per population.
 
-:mod:`repro.rta.batch` vectorises *within* one task set (shared hp
-records, one priority-ordered pass); this module vectorises *across the
-population*: task sets are grouped by task count into padded
-``(n_problems, n_tasks)`` ndarrays and every set's best/worst-case
-response times iterate **simultaneously**, with per-problem convergence
-masking.  This is the third kernel tier (scalar / within-set batch /
-population) -- see the "Kernel tiers" section of the README.
+Two shapes of one contract -- the screened record kernel of
+:mod:`repro.memo.kernels` (``evaluate_candidate``):
+
+* the record kernel itself, one ``(candidate, hp-set)`` subproblem per
+  call, hp records in task-set order (the
+  :meth:`~repro.rta.taskset.TaskSet.higher_priority` enumeration), so
+  every float equals the reference :func:`repro.rta.interface
+  .latency_jitter` and the shared memo;
+* the stacked kernels (:func:`_stacked_wcrt` / :func:`_stacked_bcrt`)
+  -- ragged subproblem lists padded into ``(n_problems, n_hp)``
+  ndarrays whose best/worst-case response times iterate
+  **simultaneously**, with per-problem convergence masking.  See the
+  "Kernel tiers" section of the README.
 
 Bit-identity contract
 ---------------------
-The stacked iterations reproduce the scalar fixed points *bit for bit*:
+The stacked iterations reproduce the record kernel *bit for bit*:
 
 * the guarded ceiling uses the same relative guard and the same
-  round-half-even nearest-integer decision
-  (:func:`repro.rta.batch.guarded_ceil_array` == scalar
-  :func:`repro.rta.wcrt.guarded_ceil` decisions);
+  round-half-even nearest-integer decision (:func:`guarded_ceil_array`
+  == scalar :func:`repro.rta.wcrt.guarded_ceil` decisions);
+* the WCRT early exits (empty hp, first iterate past the period,
+  saturated hp under a finite period) decide on the same sums in the
+  same order;
 * interference accumulates **sequentially over hp columns in task-set
   order** -- the padded (non-hp) columns hold ``(period, wcet, bcet,
   quotient) = (1, 0, 0, 0)`` so they contribute an exact ``+0.0``, which
@@ -28,55 +36,44 @@ The stacked iterations reproduce the scalar fixed points *bit for bit*:
 
 Problems that the stack cannot settle quickly (stragglers past
 :data:`_STRAGGLER_ITERATIONS` rounds) or that hit an error condition are
-recomputed from scratch through the scalar kernels, in input order -- so
+recomputed from scratch through the record kernel, in input order -- so
 pathological populations converge, and :class:`~repro.errors
 .ScheduleError` carries the exact scalar message for the *first* failing
 problem, exactly as a serial loop would raise it.
 
-Two entry points, mirroring the two scalar contracts pinned in PR 6:
+Entry points:
 
-* :func:`analyze_population` -- many task sets at once, bit-identical to
-  ``[analyze_taskset(ts) for ts in tasksets]`` (the façade contract,
-  with the utilisation/first-iterate screens of ``_wcrt_fast``);
 * :func:`evaluate_problems` -- many ``(candidate, hp-set)`` subproblems
-  at once, bit-identical to ``[evaluate_candidate(r, hp) ...]`` (the
-  memo-kernel contract the detectors and search strategies consume).
-
-The ``population_kernel`` escape hatch (``on``/``off``, CLI flags, or
-the ``REPRO_POPULATION_KERNEL`` environment variable, which worker
-processes inherit) routes everything back through the scalar tier.
+  at once, bit-identical to ``[evaluate_candidate(r, hp) ...]`` (what
+  the memo, the detectors and the search strategies consume).  It gates
+  on input size: lists too small to pay for the ndarray set-up run the
+  record kernel directly.
+* :func:`analyze_population` -- many task sets at once: every task of
+  every set posed as one subproblem of a single
+  :func:`evaluate_problems` call (the memo's population routine without
+  the memo); :func:`analyze_taskset` is its one-set case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.memo.kernels import TaskRecord, evaluate_candidate
-from repro.rta.batch import (
-    _FP_RTOL,
-    _MAX_ITERATIONS,
-    TasksetAnalysis,
-    analyze_taskset,
-    guarded_ceil_array,
+from repro.memo.kernels import (
+    TaskRecord,
+    candidate_entry,
+    evaluate_candidate,
+    make_record,
 )
-from repro.rta.interface import ResponseTimes
-from repro.rta.taskset import TaskSet
-from repro.tiers import (
-    POPULATION_KERNEL_ENV,
-    observe_tier as _observe_tier,
-    resolve_population_flag,
-)
-
-#: Task-set populations smaller than this run the within-set batch
-#: tier: below ~16 sets the ndarray setup costs more than the stack
-#: saves (measured crossover on the census benchmark mix).
-MIN_POPULATION = 16
+from repro.rta.interface import TasksetAnalysis
+from repro.rta.taskset import Task, TaskSet
+from repro.rta.wcrt import _CEIL_RTOL
+from repro.tiers import observe_tier as _observe_tier
 
 #: Candidate-problem populations with fewer *distinct* problems than
-#: this run the scalar kernels: below ~32 problems the ndarray setup
+#: this run the record kernel: below ~32 problems the ndarray setup
 #: costs more than the stack saves (measured crossover against the
 #: unrolled scalar kernels, which moved it up from 16).
 MIN_PROBLEM_POPULATION = 32
@@ -88,14 +85,31 @@ MIN_PROBLEM_POPULATION = 32
 _DEDUP_MIN_PROBLEMS = 12
 
 #: Stacked rounds before remaining active problems fall back to the
-#: scalar kernels.  Well-conditioned RTA fixed points settle in a few
+#: record kernel.  Well-conditioned RTA fixed points settle in a few
 #: dozen iterations; a straggler forces full-width array work on every
 #: round, so past this point per-problem scalar loops are cheaper (and
 #: reproduce the scalar 10k-iteration/error behaviour by construction).
 _STRAGGLER_ITERATIONS = 128
 
+#: Convergence tolerance shared with the scalar fixed points.
+_FP_RTOL = 1e-12
+
 _INF = float("inf")
-_NEG_INF = float("-inf")
+
+
+def guarded_ceil_array(quotients: np.ndarray) -> np.ndarray:
+    """Vectorised :func:`repro.rta.wcrt.guarded_ceil`.
+
+    Values within ``1e-9`` (relative) of a non-zero integer round to
+    that integer; everything else is ceiled.  Matches the scalar guard
+    decision exactly.
+    """
+    quotients = np.asarray(quotients, dtype=float)
+    nearest = np.round(quotients)
+    guard = np.abs(quotients - nearest) <= _CEIL_RTOL * np.maximum(
+        1.0, np.abs(quotients)
+    )
+    return np.where(guard & (nearest != 0.0), nearest, np.ceil(quotients))
 
 
 @dataclass
@@ -129,38 +143,32 @@ def _column_sums(matrix: np.ndarray) -> np.ndarray:
     return total
 
 
-def _stacked_wcrt(
-    stack: _ProblemStack, *, screens: bool
-) -> Tuple[np.ndarray, np.ndarray]:
+def _stacked_wcrt(stack: _ProblemStack) -> Tuple[np.ndarray, np.ndarray]:
     """Stacked least fixed point of eq. (3) with ``limit = period``.
 
     Returns ``(worst, fallback)``: per-problem response times (``inf``
     where the iterate exceeds the period) and a mask of problems the
-    caller must recompute through the scalar kernel (stragglers).
-
-    ``screens=True`` mirrors ``repro.rta.batch._wcrt_fast`` (empty-hp
-    early-out, first-iterate and saturation screens); ``screens=False``
-    mirrors ``repro.memo.kernels._wcrt_exact`` (pure iteration).
+    caller must recompute through the record kernel (stragglers).  The
+    early exits are those of :func:`repro.memo.kernels._wcrt_exact`.
     """
     period, wcet = stack.period, stack.wcet
     hp_period, hp_wcet = stack.hp_period, stack.hp_wcet
     n = stack.n_problems
     result = np.zeros(n)
     fallback = np.zeros(n, dtype=bool)
-    active = np.ones(n, dtype=bool)
 
-    if screens:
-        no_hp = stack.hp_count == 0
-        result[no_hp] = wcet[no_hp]
-        active &= ~no_hp
-        hp_wcet_sum = _column_sums(hp_wcet)
-        # Pad columns divide 0/1 = +0.0: exact no-op terms, like the sums.
-        hp_util = _column_sums(hp_wcet / hp_period)
-        screened = active & (
-            (wcet + hp_wcet_sum > period) | (hp_util + 1e-12 >= 1.0)
-        )
-        result[screened] = _INF
-        active &= ~screened
+    no_hp = stack.hp_count == 0
+    result[no_hp] = wcet[no_hp]
+    active = ~no_hp
+    hp_wcet_sum = _column_sums(hp_wcet)
+    # Pad columns divide 0/1 = +0.0: exact no-op terms, like the sums.
+    hp_util = _column_sums(hp_wcet / hp_period)
+    screened = active & (
+        (wcet + hp_wcet_sum > period)
+        | ((hp_util + 1e-12 >= 1.0) & (period != _INF))
+    )
+    result[screened] = _INF
+    active &= ~screened
     if not active.any():
         return result, fallback
 
@@ -190,32 +198,25 @@ def _stacked_wcrt(
     return result, fallback
 
 
-def _stacked_bcrt(stack: _ProblemStack, *, screens: bool) -> Tuple[np.ndarray, np.ndarray]:
+def _stacked_bcrt(stack: _ProblemStack) -> Tuple[np.ndarray, np.ndarray]:
     """Stacked greatest fixed point of eq. (4), seeded from the
     utilisation bound.
 
     Returns ``(best, fallback)``; error conditions (an iterate that
-    *increases*, which the scalar kernel reports as a
+    *increases*, which the record kernel reports as a
     :class:`~repro.errors.ScheduleError`) are routed to the scalar
-    fallback so the exception text matches exactly.  ``screens=True``
-    adds the empty-hp early-out of ``_bcrt_fast`` (the saturation screen
-    exists in both scalar variants).
+    fallback so the exception text matches exactly.
     """
     bcet = stack.bcet
     hp_period, hp_bcet = stack.hp_period, stack.hp_bcet
     n = stack.n_problems
     result = np.zeros(n)
     fallback = np.zeros(n, dtype=bool)
-    active = np.ones(n, dtype=bool)
 
-    if screens:
-        no_hp = stack.hp_count == 0
-        result[no_hp] = bcet[no_hp]
-        active &= ~no_hp
     bcet_util = _column_sums(stack.hp_quot)
-    saturated = active & (bcet_util + 1e-12 >= 1.0)
+    saturated = bcet_util + 1e-12 >= 1.0
     result[saturated] = _INF
-    active &= ~saturated
+    active = ~saturated
     if not active.any():
         return result, fallback
 
@@ -249,120 +250,7 @@ def _stacked_bcrt(stack: _ProblemStack, *, screens: bool) -> Tuple[np.ndarray, n
 
 
 # ----------------------------------------------------------------------
-# Task-set populations (the analyze_taskset contract)
-# ----------------------------------------------------------------------
-
-def _stack_tasksets(tasksets: Sequence[TaskSet], m: int) -> Tuple[_ProblemStack, list]:
-    """Pad a group of ``m``-task sets into one ``(S*m, m)`` problem stack.
-
-    Row ``s*m + i`` is task ``i`` of set ``s`` against its hp columns
-    ``j`` (``priority[j] > priority[i]``), all other columns padded.
-    """
-    task_lists = [list(ts) for ts in tasksets]
-    s = len(task_lists)
-    period = np.array([[t.period for t in tasks] for tasks in task_lists])
-    wcet = np.array([[t.wcet for t in tasks] for tasks in task_lists])
-    bcet = np.array([[t.bcet for t in tasks] for tasks in task_lists])
-    quot = np.array(
-        [[t.bcet / t.period for t in tasks] for tasks in task_lists]
-    )
-    prio = np.array(
-        [[t.priority for t in tasks] for tasks in task_lists], dtype=float
-    )
-    # mask[s, i, j]: task j interferes with task i of set s.
-    mask = prio[:, None, :] > prio[:, :, None]
-    shape = (s * m, m)
-    stack = _ProblemStack(
-        period=period.reshape(s * m),
-        wcet=wcet.reshape(s * m),
-        bcet=bcet.reshape(s * m),
-        hp_period=np.where(mask, period[:, None, :], 1.0).reshape(shape),
-        hp_wcet=np.where(mask, wcet[:, None, :], 0.0).reshape(shape),
-        hp_bcet=np.where(mask, bcet[:, None, :], 0.0).reshape(shape),
-        hp_quot=np.where(mask, quot[:, None, :], 0.0).reshape(shape),
-        hp_count=mask.sum(axis=2).reshape(s * m),
-    )
-    return stack, task_lists
-
-
-def _assemble_analysis(
-    tasks: list, best: np.ndarray, worst: np.ndarray
-) -> TasksetAnalysis:
-    """Verdicts from stacked interfaces, mirroring ``analyze_taskset``."""
-    times = {}
-    violating = []
-    for i, task in enumerate(tasks):
-        interface = ResponseTimes(best=float(best[i]), worst=float(worst[i]))
-        times[task.name] = interface
-        ok = interface.finite
-        if ok and task.stability is not None:
-            ok = task.stability.is_stable(interface.latency, interface.jitter)
-        if not ok:
-            violating.append(task.name)
-    return TasksetAnalysis(
-        times=times,
-        deadlines_met=all(t.finite for t in times.values()),
-        stable=not violating,
-        violating=tuple(violating),
-    )
-
-
-def analyze_population(
-    tasksets: Sequence[TaskSet],
-    *,
-    population_kernel: Union[None, bool, str] = None,
-) -> List[TasksetAnalysis]:
-    """Analyse many task sets through the population kernel tier.
-
-    Bit-identical to ``[analyze_taskset(ts) for ts in tasksets]`` (the
-    equivalence suite in ``tests/rta/test_popbatch.py`` pins this on
-    random mixed populations): task sets are grouped by task count,
-    stacked, and iterated together; groups too small to pay for the
-    stacking -- and the population as a whole when ``population_kernel``
-    resolves to off -- run the within-set batch tier.
-    """
-    tasksets = list(tasksets)
-    if not resolve_population_flag(population_kernel) or (
-        len(tasksets) < MIN_POPULATION
-    ):
-        if tasksets:
-            _observe_tier("batch", len(tasksets), len(tasksets))
-        return [analyze_taskset(ts) for ts in tasksets]
-
-    groups = {}
-    for index, taskset in enumerate(tasksets):
-        taskset.check_distinct_priorities()
-        groups.setdefault(len(taskset), []).append(index)
-
-    results: List[Optional[TasksetAnalysis]] = [None] * len(tasksets)
-    scalar_rerun: List[int] = []
-    for m, indices in groups.items():
-        group_sets = [tasksets[i] for i in indices]
-        if m == 0 or len(indices) < 2:
-            scalar_rerun.extend(indices)
-            continue
-        stack, task_lists = _stack_tasksets(group_sets, m)
-        worst, fb_w = _stacked_wcrt(stack, screens=True)
-        best, fb_b = _stacked_bcrt(stack, screens=True)
-        needs_scalar = (fb_w | fb_b).reshape(len(indices), m).any(axis=1)
-        _observe_tier("popbatch", len(indices), len(indices))
-        for g, index in enumerate(indices):
-            if needs_scalar[g]:
-                scalar_rerun.append(index)
-                continue
-            lo, hi = g * m, (g + 1) * m
-            results[index] = _assemble_analysis(
-                task_lists[g], best[lo:hi], worst[lo:hi]
-            )
-    # Stragglers and error conditions recompute scalar, in input order,
-    # so any ScheduleError raises exactly as the serial loop would.
-    for index in sorted(scalar_rerun):
-        results[index] = analyze_taskset(tasksets[index])
-    return results  # type: ignore[return-value]
-
-
-# ----------------------------------------------------------------------
-# Candidate-problem populations (the memo-kernel contract)
+# Candidate-problem populations
 # ----------------------------------------------------------------------
 
 #: One subproblem: an interned candidate record against its hp records,
@@ -405,31 +293,16 @@ def _stack_problems(problems: Sequence[Problem]) -> _ProblemStack:
     )
 
 
-def _problem_entry(
-    record: TaskRecord, best: float, worst: float
-) -> Tuple[float, float, float]:
-    """``(best, worst, slack)`` with the ``evaluate_candidate`` slack
-    convention."""
-    if worst == _INF:
-        return best, worst, _NEG_INF
-    bound = record[4]
-    if bound is None:
-        return best, worst, record[0] - worst
-    return best, worst, bound.slack(best, worst - best)
-
-
 def evaluate_problems(
     problems: Sequence[Problem],
-    *,
-    population_kernel: Union[None, bool, str] = None,
 ) -> List[Tuple[float, float, float]]:
     """Evaluate many ``(candidate, hp-set)`` subproblems at once.
 
     Bit-identical to ``[evaluate_candidate(r, hp) for r, hp in
-    problems]`` -- the memo-kernel contract (no utilisation screens on
-    the WCRT side), which is what the anomaly detectors' and search
-    strategies' pinned goldens rely on.  Problems of different hp sizes
-    share one stack: the pad columns contribute exact ``+0.0``.
+    problems]`` -- the record-kernel contract the anomaly detectors'
+    and search strategies' pinned goldens rely on.  Problems of
+    different hp sizes share one stack: the pad columns contribute
+    exact ``+0.0``.
     """
     problems = list(problems)
     if not problems:
@@ -471,9 +344,7 @@ def evaluate_problems(
     unique_entries: List[Optional[Tuple[float, float, float]]] = [
         None
     ] * len(uniques)
-    if not resolve_population_flag(population_kernel) or (
-        len(uniques) < MIN_PROBLEM_POPULATION
-    ):
+    if len(uniques) < MIN_PROBLEM_POPULATION:
         _observe_tier("scalar", len(problems), len(problems))
         for p, u in enumerate(positions):
             entry = unique_entries[u]
@@ -484,8 +355,8 @@ def evaluate_problems(
         return entries  # type: ignore[return-value]
 
     stack = _stack_problems(uniques)
-    worst, fb_w = _stacked_wcrt(stack, screens=False)
-    best, fb_b = _stacked_bcrt(stack, screens=False)
+    worst, fb_w = _stacked_wcrt(stack)
+    best, fb_b = _stacked_bcrt(stack)
     needs_scalar = fb_w | fb_b
     _observe_tier("popbatch", len(problems), len(problems))
     for p, u in enumerate(positions):
@@ -495,7 +366,55 @@ def evaluate_problems(
             if needs_scalar[u]:
                 entry = evaluate_candidate(record, hp)
             else:
-                entry = _problem_entry(record, float(best[u]), float(worst[u]))
+                entry = candidate_entry(record, float(best[u]), float(worst[u]))
             unique_entries[u] = entry
         entries[p] = entry
     return entries  # type: ignore[return-value]
+
+
+# ----------------------------------------------------------------------
+# Task-set populations
+# ----------------------------------------------------------------------
+
+def analyze_population(tasksets: Sequence[TaskSet]) -> List[TasksetAnalysis]:
+    """Exact latency/jitter interfaces and verdicts of many task sets.
+
+    Requires distinct priorities within each set.  Every task of every
+    set becomes one record-kernel subproblem against its hp records in
+    task-set order, and the whole population is evaluated by one
+    :func:`evaluate_problems` call, so the floats are those of the memo
+    and of the reference per-task analyses (the equivalence suites in
+    ``tests/rta/test_popbatch.py`` and ``tests/rta/test_batch.py`` pin
+    this); verdicts match
+    :func:`repro.assignment.validate.validate_assignment`.
+    """
+    task_lists: List[List[Task]] = []
+    problems: List[Problem] = []
+    for taskset in tasksets:
+        taskset.check_distinct_priorities()
+        tasks = list(taskset)
+        records = [
+            make_record(t.period, t.wcet, t.bcet, t.stability, t.name)
+            for t in tasks
+        ]
+        priorities = [t.priority for t in tasks]
+        problems.extend(
+            (record, [records[j] for j, other in enumerate(priorities) if other > mine])
+            for record, mine in zip(records, priorities)
+        )
+        task_lists.append(tasks)
+    entries = evaluate_problems(problems)
+    results: List[TasksetAnalysis] = []
+    offset = 0
+    for tasks in task_lists:
+        results.append(
+            TasksetAnalysis.build(tasks, entries[offset : offset + len(tasks)])
+        )
+        offset += len(tasks)
+    return results
+
+
+def analyze_taskset(taskset: TaskSet) -> TasksetAnalysis:
+    """:func:`analyze_population` of one task set."""
+    (analysis,) = analyze_population([taskset])
+    return analysis

@@ -13,13 +13,15 @@ Floating-point ceilings: periods and execution times come from continuous
 plant dynamics, so quotients can land within rounding error of an integer.
 ``ceil`` is evaluated with a relative guard so that ``ceil(k +/- 1e-12)``
 is ``k`` -- without the guard, anomaly *detection* (which compares response
-times across minutely different configurations) becomes noise-driven.
+times across minutely different configurations) becomes noise-driven.  The
+guard never rounds a positive quotient down to zero: however long an
+interferer's period, its critical-instant job counts.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.errors import ScheduleError
 from repro.rta.taskset import Task
@@ -30,10 +32,10 @@ _CEIL_RTOL = 1e-9
 
 def guarded_ceil(quotient: float) -> int:
     """``ceil`` that treats values within ``1e-9`` (relative) of an integer
-    as that integer."""
+    as that integer -- but never rounds a positive quotient down to 0."""
     nearest = round(quotient)
     if abs(quotient - nearest) <= _CEIL_RTOL * max(1.0, abs(quotient)):
-        return int(nearest)
+        return int(nearest) or int(math.ceil(quotient))
     return int(math.ceil(quotient))
 
 
@@ -54,9 +56,10 @@ def worst_case_response_time(
         The interfering tasks ``hp(tau_i)`` (``wcet`` and ``period`` used).
     limit:
         Divergence guard: once the iterate exceeds ``limit`` the analysis
-        returns ``inf``.  Callers checking implicit deadlines pass the
-        period; the default is a pure busy-period computation, guarded by
-        the utilisation test below.
+        returns ``inf``, as it does at once when the higher-priority
+        utilisation is >= 1 (the iterates grow past any finite limit).
+        Callers checking implicit deadlines pass the period; the default
+        is a pure busy-period computation.
 
     Raises
     ------
@@ -65,11 +68,13 @@ def worst_case_response_time(
         is >= 1 and no finite ``limit`` was given.
     """
     interference_util = sum(t.wcet / t.period for t in higher_priority)
-    if interference_util + 1e-12 >= 1.0 and math.isinf(limit):
-        raise ScheduleError(
-            "higher-priority utilisation >= 1: the response-time fixed "
-            "point diverges; pass a finite limit to get inf instead"
-        )
+    if interference_util + 1e-12 >= 1.0:
+        if math.isinf(limit):
+            raise ScheduleError(
+                "higher-priority utilisation >= 1: the response-time fixed "
+                "point diverges; pass a finite limit to get inf instead"
+            )
+        return float("inf")
 
     response = task.wcet
     for _ in range(max_iterations):

@@ -7,17 +7,17 @@ subproblems: *"is task tau feasible at the lowest priority among a
 candidate set?"*.  The seed implementations each re-derived that
 predicate from scratch; this package factors the search machinery out:
 
-* :class:`~repro.memo.AnalysisMemo` (v1.4, formerly ``SearchContext``)
-  -- the shared evaluation memo of :mod:`repro.memo`, keyed by
+* :class:`~repro.memo.AnalysisMemo` -- the shared evaluation memo of
+  :mod:`repro.memo`, keyed by
   ``(task, frozenset(hp-set))`` so that overlapping subproblems (the
   backtracking/exhaustive trees, repeated algorithm runs over one
   instance, the codesign combination loop, edited models in the serve
   daemon) are never recomputed;
-* :mod:`~repro.search.kernels` -- batched sibling evaluation (now
-  re-exported from :mod:`repro.memo.kernels`): all candidates of one
-  search level are scored through a shared-precomputation pass that is
-  float-for-float identical to the scalar analyses of :mod:`repro.rta`
-  (the equivalence the golden tests pin);
+* :meth:`~repro.memo.MemoRun.level_slacks` -- batched sibling
+  evaluation: all candidates of one search level are scored through
+  the record kernel of :mod:`repro.memo.kernels`, float-for-float
+  identical to the reference analyses of :mod:`repro.rta` (the
+  equivalence the golden tests pin);
 * :class:`~repro.memo.EvaluationCounter` -- the paper's
   logical-evaluation metric, unchanged: every predicate *query* counts,
   memo hits are tallied separately, so complexity tables stay comparable
@@ -39,7 +39,6 @@ Quickstart::
 """
 
 from repro.memo import AnalysisMemo, EvaluationCounter
-from repro.search.context import SearchContext, SearchRun
 from repro.search.engine import run_strategy
 from repro.search.result import AssignmentResult
 from repro.search.strategies import STRATEGIES, SearchStrategy, strategy_names
@@ -48,8 +47,6 @@ __all__ = [
     "AnalysisMemo",
     "AssignmentResult",
     "EvaluationCounter",
-    "SearchContext",
-    "SearchRun",
     "SearchStrategy",
     "STRATEGIES",
     "run_strategy",

@@ -4,14 +4,14 @@ Each strategy reproduces its seed implementation decision-for-decision
 (same candidate enumeration order, same tie-breaks, same evaluation
 counts -- the golden tests in ``tests/search/`` pin byte equality on
 hundreds of random task sets) while drawing every predicate evaluation
-from the shared :class:`~repro.search.context.SearchContext`:
+from the shared :class:`~repro.memo.AnalysisMemo`:
 
 * whole search levels are scored through the batched sibling kernel
-  (:meth:`~repro.search.context.SearchRun.level_slacks`) instead of one
+  (:meth:`~repro.memo.MemoRun.level_slacks`) instead of one
   scalar interface call per candidate;
 * revisited ``(task, hp-set)`` subproblems -- the overlap that makes the
   backtracking and exhaustive trees exponential -- come from the memo,
-  with the logical :class:`~repro.search.context.EvaluationCounter` still
+  with the logical :class:`~repro.memo.EvaluationCounter` still
   ticking exactly as the paper counts.
 
 A strategy returns ``(priorities, claims_valid, backtracks)``; the engine
@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ModelError, ScheduleError
 from repro.rta.taskset import TaskSet
-from repro.search.context import SearchRun
+from repro.memo import MemoRun
 
 #: Raw strategy outcome: priorities (or None), claims_valid, backtracks.
 Outcome = Tuple[Optional[Dict[str, int]], Optional[bool], int]
@@ -43,7 +43,7 @@ class SearchStrategy:
     #: Registry key and ``AssignmentResult.algorithm`` value.
     name: str = ""
 
-    def search(self, taskset: TaskSet, run: SearchRun, **options) -> Outcome:
+    def search(self, taskset: TaskSet, run: MemoRun, **options) -> Outcome:
         raise NotImplementedError
 
 
@@ -70,7 +70,7 @@ class GreedyBottomUp(SearchStrategy):
     #: past (Unsafe Quadratic).
     stop_on_violation: bool = True
 
-    def search(self, taskset: TaskSet, run: SearchRun, **options) -> Outcome:
+    def search(self, taskset: TaskSet, run: MemoRun, **options) -> Outcome:
         _reject_options(self.name, options)
         remaining = run.context.intern_all(taskset)
         assignment: Dict[str, int] = {}
@@ -114,7 +114,7 @@ class BacktrackingStrategy(SearchStrategy):
     def search(
         self,
         taskset: TaskSet,
-        run: SearchRun,
+        run: MemoRun,
         *,
         max_evaluations: int = 10_000_000,
         **options,
@@ -168,7 +168,7 @@ class ExhaustiveStrategy(SearchStrategy):
 
     name = "exhaustive"
 
-    def search(self, taskset: TaskSet, run: SearchRun, **options) -> Outcome:
+    def search(self, taskset: TaskSet, run: MemoRun, **options) -> Outcome:
         _reject_options(self.name, options)
         check_exhaustive_size(len(taskset), "exhaustive search")
         ids = run.context.intern_all(taskset)
@@ -190,7 +190,7 @@ class RateMonotonicStrategy(SearchStrategy):
 
     name = "rate_monotonic"
 
-    def search(self, taskset: TaskSet, run: SearchRun, **options) -> Outcome:
+    def search(self, taskset: TaskSet, run: MemoRun, **options) -> Outcome:
         _reject_options(self.name, options)
         ordered = sorted(taskset, key=lambda t: t.period, reverse=True)
         return (
@@ -205,7 +205,7 @@ class SlackMonotonicStrategy(SearchStrategy):
 
     name = "slack_monotonic"
 
-    def search(self, taskset: TaskSet, run: SearchRun, **options) -> Outcome:
+    def search(self, taskset: TaskSet, run: MemoRun, **options) -> Outcome:
         _reject_options(self.name, options)
         ids = run.context.intern_all(taskset)
         slacks = run.level_slacks(ids)
@@ -221,7 +221,7 @@ class SlackMonotonicStrategy(SearchStrategy):
         )
 
 
-def _order_is_valid(order: Tuple[int, ...], run: SearchRun) -> bool:
+def _order_is_valid(order: Tuple[int, ...], run: MemoRun) -> bool:
     """Check a complete order bottom-up, short-circuiting on violations.
 
     ``order[0]`` has the lowest priority; task ``order[k]``'s

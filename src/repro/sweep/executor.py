@@ -14,10 +14,7 @@ SerialBackend`; ``jobs=N`` on the shared persistent
 :class:`~repro.exec.backends.PoolBackend`, whose workers keep a
 worker-lifetime analysis memo warm across chunks *and across sweeps* in
 the same process, and whose crash containment recomputes lost chunks
-in-process instead of failing the run.  The population-kernel tier gate
-is resolved here, at plan construction, and forwarded as a plan env
-override -- persistent workers forked before a tier toggle still honour
-the caller's setting.
+in-process instead of failing the run.
 
 Bound table: a spec may declare the stability-bound keys its items look
 up (``SweepSpec.bound_keys``).  On a multi-worker backend the executor
@@ -54,7 +51,9 @@ from repro.sweep.spec import SweepChunkWorker, SweepSpec, SweepWorker
 __all__ = ["SweepError", "resolve_jobs", "run_sweep"]
 
 #: Cache file schema version (independent of the artifact format).
-_CACHE_FORMAT = 1
+#: 2: records of the v2.0.0 RTA contract; format-1 chunks may hold
+#: verdicts of the older kernels, so they are recomputed.
+_CACHE_FORMAT = 2
 
 
 class SweepError(ExecError):
@@ -132,7 +131,7 @@ def _execute_chunk_with_bounds(
     return seconds, records, BOUND_TABLE.cache_info().misses - misses
 
 
-def _run_split(backend, name: str, fn, values: List[Any], env, *extra: Any) -> List[Any]:
+def _run_split(backend, name: str, fn, values: List[Any], *extra: Any) -> List[Any]:
     """``fn(share, *extra)`` over one share of ``values`` per worker.
 
     Returns the shares' results in share order.  Shares interleave, so
@@ -148,7 +147,6 @@ def _run_split(backend, name: str, fn, values: List[Any], env, *extra: Any) -> L
         fn=fn,
         calls=tuple((share,) + extra for share in shares),
         weights=tuple(len(share) for share in shares),
-        env=env,
     )
     return backend.run(plan)
 
@@ -162,7 +160,6 @@ def _resolve_bounds(
     spec: SweepSpec,
     pending: List[Tuple[int, List[Tuple[int, Any]]]],
     backend,
-    env: Tuple[Tuple[str, str], ...],
 ) -> Tuple[Optional[Tuple[Tuple[Any, Any], ...]], Dict[str, Any]]:
     """Compute the pending chunks' bound keys once, across the workers.
 
@@ -185,7 +182,7 @@ def _resolve_bounds(
                 key
                 for share in _run_split(
                     backend, f"bound-keys-{spec.name}", spec.bound_keys, items,
-                    env, spec.params, spec.seed,
+                    spec.params, spec.seed,
                 )
                 for key in share
             )
@@ -195,7 +192,7 @@ def _resolve_bounds(
         computed = [
             entry
             for share in _run_split(
-                backend, f"bounds-{spec.name}", compute_bounds, missing, env
+                backend, f"bounds-{spec.name}", compute_bounds, missing
             )
             for entry in share
         ]
@@ -355,19 +352,6 @@ def run_sweep(
                 records,
             )
 
-    # Tier gates are resolved *here*, at plan construction, and forwarded
-    # as a plan env override: a persistent pool worker forked before the
-    # caller toggled the population kernel still computes this sweep under
-    # the caller's setting.
-    from repro.tiers import POPULATION_KERNEL_ENV, resolve_population_flag
-
-    env = (
-        (
-            POPULATION_KERNEL_ENV,
-            "on" if resolve_population_flag(None) else "off",
-        ),
-    )
-
     if backend is None:
         # A single pending chunk gains nothing from a pool; keep the
         # historical serial fast path for it.
@@ -382,7 +366,7 @@ def run_sweep(
     # an up-front draw.
     bounds, bounds_meta = None, dict(_NO_BOUNDS_STEP)
     if spec.bound_keys is not None and pending and getattr(backend, "workers", 1) > 1:
-        bounds, bounds_meta = _resolve_bounds(spec, pending, backend, env)
+        bounds, bounds_meta = _resolve_bounds(spec, pending, backend)
     # Lookups the chunk calls computed themselves: 0 when the step ran.
     bounds_meta["chunk_misses"] = 0
 
@@ -402,7 +386,6 @@ def run_sweep(
             for chunk_index, indexed_items in pending
         ),
         weights=tuple(len(items) for _, items in pending),
-        env=env,
     )
 
     try:

@@ -1,46 +1,13 @@
-"""Kernel-tier selection and observability shared by population kernels.
+"""Kernel-tier observability shared by the population kernels.
 
-The population kernel tier spans two otherwise unrelated layers -- the
-stacked RTA fixed points (:mod:`repro.rta.popbatch`) and the stacked
-frequency-domain margins (:mod:`repro.jittermargin.popmargin`) -- which
-must agree on one escape hatch and one metrics contract.  Both live
-here, dependency-free, so either layer can import them without pulling
-in the other's module graph.
+The stacked RTA fixed points (:mod:`repro.rta.popbatch`) and the stacked
+frequency-domain margins (:mod:`repro.jittermargin.popmargin`) report
+which tier handled each batch through one metrics contract.  It lives
+here, dependency-free, so either layer can import it without pulling in
+the other's module graph.
 """
 
 from __future__ import annotations
-
-import os
-from typing import Union
-
-from repro.errors import ModelError
-
-#: Environment escape hatch: ``off``/``0``/``false``/``no`` disables the
-#: population tier process-wide (inherited by sweep worker processes).
-POPULATION_KERNEL_ENV = "REPRO_POPULATION_KERNEL"
-
-
-def resolve_population_flag(value: Union[None, bool, str]) -> bool:
-    """Resolve a ``population_kernel`` request to a concrete on/off.
-
-    ``None`` defers to :data:`POPULATION_KERNEL_ENV` (default on);
-    booleans pass through; the strings ``on/off/true/false/1/0/yes/no``
-    are accepted from CLI flags.
-    """
-    if value is None:
-        value = os.environ.get(POPULATION_KERNEL_ENV)
-        if value is None:
-            return True
-    if isinstance(value, bool):
-        return value
-    text = str(value).strip().lower()
-    if text in ("on", "1", "true", "yes", ""):
-        return True
-    if text in ("off", "0", "false", "no"):
-        return False
-    raise ModelError(
-        f"population_kernel must be on or off, got {value!r}"
-    )
 
 
 def observe_tier(tier: str, n_problems: int, group_size: int) -> None:

@@ -19,7 +19,7 @@ from repro.api.service import assign
 from repro.memo import AnalysisMemo
 from repro.benchgen.uunifast import uunifast
 from repro.jittermargin.linearbound import LinearStabilityBound
-from repro.rta.batch import analyze_taskset
+from repro.rta.popbatch import analyze_taskset
 from repro.rta.interface import latency_jitter
 from repro.rta.taskset import Task, TaskSet
 from repro.sweep.result import encode_nonfinite

@@ -15,7 +15,7 @@ import signal
 import pytest
 
 from repro.api.service import analyze, assign
-from repro.cluster import ProcessPoolBackend
+from repro.exec import PoolBackend
 from repro.scenarios.workload import scenario_request_pool
 
 pytestmark = pytest.mark.loadgen
@@ -28,7 +28,7 @@ def systems():
 
 @pytest.fixture()
 def pool():
-    backend = ProcessPoolBackend(2, memo_entries=4096)
+    backend = PoolBackend(2, memo_entries=4096)
     yield backend
     backend.close()
 
@@ -68,7 +68,7 @@ class TestByteIdentity:
 
     @pytest.mark.slow
     def test_four_workers_byte_identical(self, systems):
-        backend = ProcessPoolBackend(4, memo_entries=4096)
+        backend = PoolBackend(4, memo_entries=4096)
         try:
             results = backend.compute(("analyze",), systems)
             direct = [analyze(system).report_json() for system in systems]
@@ -125,7 +125,7 @@ class TestCrashFailover:
 
 class TestSlicing:
     def test_contiguous_order_preserving_slices(self):
-        backend = ProcessPoolBackend(3, memo_entries=0)
+        backend = PoolBackend(3, memo_entries=0)
         try:
             slices = backend._slice(list(range(8)))
             assert [len(part) for part in slices] == [3, 3, 2]

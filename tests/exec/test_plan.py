@@ -52,12 +52,3 @@ class TestPlanValidation:
         )
         assert plan.n_items == 3
         assert plan.weight(2) == 1
-
-    def test_env_normalised_to_sorted_tuple(self):
-        plan = ExecutionPlan(
-            name="p",
-            fn=square_worker,
-            calls=((({"value": 1}), {}, 0),),
-            env={"B": "2", "A": "1"},
-        )
-        assert plan.env == (("A", "1"), ("B", "2"))

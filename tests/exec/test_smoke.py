@@ -42,18 +42,3 @@ def test_serve_request_through_pool_matches_direct_facade():
         backend.close()
     assert [body for ok, body, _ in served] == direct
     assert all(ok for ok, _, _ in served)
-
-
-def test_deprecated_cluster_import_path_still_serves():
-    with pytest.warns(DeprecationWarning, match="repro.exec.PoolBackend"):
-        from repro.cluster import ProcessPoolBackend
-
-        backend = ProcessPoolBackend(2, memo_entries=1024)
-    systems = scenario_request_pool(unique=2, seed=9)
-    try:
-        served = backend.compute(("analyze",), systems)
-    finally:
-        backend.close()
-    assert [body for ok, body, _ in served] == [
-        analyze(system).report_json() for system in systems
-    ]

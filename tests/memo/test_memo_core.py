@@ -2,10 +2,10 @@
 
 The search-context suite (``tests/search/test_context.py``) pins the
 memo/counter semantics the engine inherited; this suite covers what the
-promotion to :mod:`repro.memo` added: the deprecation shim, bounded
-(LRU) operation, consistent ``stats()`` snapshots, and thread safety of
-the aggregate counters (the serve daemon shares one memo between its
-event loop and dispatch worker).
+promotion to :mod:`repro.memo` added: the ``context=`` keyword alias,
+bounded (LRU) operation, consistent ``stats()`` snapshots, and thread
+safety of the aggregate counters (the serve daemon shares one memo
+between its event loop and dispatch worker).
 """
 
 from __future__ import annotations
@@ -15,22 +15,14 @@ import threading
 import pytest
 
 from repro.errors import ModelError
-from repro.memo import AnalysisMemo, EvaluationCounter, MemoRun
+from repro.memo import AnalysisMemo, EvaluationCounter
 from repro.rta.taskset import TaskSet
-from repro.search import SearchContext, SearchRun, run_strategy
+from repro.search import run_strategy
 
 from _memo_population import random_population
 
 
 class TestDeprecatedAlias:
-    def test_searchcontext_warns_and_is_an_analysis_memo(self):
-        with pytest.warns(DeprecationWarning, match="AnalysisMemo"):
-            context = SearchContext()
-        assert isinstance(context, AnalysisMemo)
-
-    def test_searchrun_is_memo_run(self):
-        assert SearchRun is MemoRun
-
     def test_analysis_memo_does_not_warn(self, recwarn):
         AnalysisMemo()
         assert not [
@@ -39,8 +31,7 @@ class TestDeprecatedAlias:
 
     def test_deprecated_context_still_drives_a_strategy(self):
         (taskset,) = random_population(n=4, count=1, seed=101)
-        with pytest.warns(DeprecationWarning):
-            context = SearchContext()
+        context = AnalysisMemo()
         result = run_strategy("audsley", taskset, context=context)
         fresh = run_strategy("audsley", taskset)
         assert result.priorities == fresh.priorities
@@ -83,13 +74,13 @@ class TestBoundedMemo:
     def test_evicted_entries_recompute_to_identical_values(self):
         (taskset,) = random_population(n=5, count=1, seed=104)
         unbounded = AnalysisMemo()
-        reference = unbounded.taskset_analysis(taskset)
+        (reference,) = unbounded.population_analysis([taskset])
         tiny = AnalysisMemo(max_entries=2)
-        first = tiny.taskset_analysis(taskset)
+        (first,) = tiny.population_analysis([taskset])
         # Every entry evicted by now (5 subproblems through 2 slots) --
         # a second pass recomputes rather than replays, same floats.
         counter = EvaluationCounter()
-        second = tiny.taskset_analysis(taskset, counter)
+        (second,) = tiny.population_analysis([taskset], counter)
         assert counter.hits < counter.count  # genuinely recomputed
         for name in reference.times:
             assert first.times[name] == reference.times[name]
@@ -147,7 +138,7 @@ class TestStatsSnapshot:
         def worker(taskset: TaskSet) -> None:
             counter = EvaluationCounter()
             for _ in range(25):
-                memo.taskset_analysis(taskset, counter)
+                memo.population_analysis([taskset], counter)
             with lock:
                 counters.append(counter)
 

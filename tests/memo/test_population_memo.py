@@ -5,11 +5,15 @@ the batch-analysis path).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.errors import ScheduleError
 from repro.memo import AnalysisMemo
 from repro.memo.core import EvaluationCounter
+from repro.rta.taskset import Task, TaskSet
 
 from tests.memo._memo_population import random_taskset
 
@@ -21,10 +25,10 @@ def _population(seed=71, sets=7, n=6):
 
 class TestPopulationAnalysis:
     def test_matches_sequential_taskset_analysis(self):
+        from repro.rta.popbatch import analyze_taskset
+
         tasksets = _population()
-        sequential = [
-            AnalysisMemo().taskset_analysis(ts) for ts in tasksets
-        ]
+        sequential = [analyze_taskset(ts) for ts in tasksets]
         population = AnalysisMemo().population_analysis(tasksets)
         assert population == sequential
 
@@ -44,7 +48,7 @@ class TestPopulationAnalysis:
         sequential_memo = AnalysisMemo()
         sequential_counter = EvaluationCounter()
         sequential = [
-            sequential_memo.taskset_analysis(ts, sequential_counter)
+            sequential_memo.population_analysis([ts], sequential_counter)[0]
             for ts in tasksets
         ]
 
@@ -70,6 +74,24 @@ class TestPopulationAnalysis:
         second = memo.population_analysis(tasksets)
         assert second == first
         assert memo.stats()["recomputations"] == recomputed_before
+
+    def test_kernel_error_replays_pairs_in_input_order(self):
+        # An infinite deadline against a saturated hp set never settles:
+        # the error surfaces on that pair, after every earlier pair was
+        # evaluated, counted and stored exactly as a serial walk would.
+        good = _population(seed=76, sets=3)
+        bad = TaskSet(
+            [
+                Task(name="hog", period=1.0, wcet=1.0, priority=2),
+                Task(name="bad", period=math.inf, wcet=1.0, priority=1),
+            ]
+        )
+        memo = AnalysisMemo()
+        counter = EvaluationCounter()
+        with pytest.raises(ScheduleError, match="'bad'"):
+            memo.population_analysis(good + [bad] + good[:1], counter)
+        assert counter.count == sum(len(ts) for ts in good) + 2
+        assert memo.stats()["memo_entries"] == counter.count - counter.hits - 1
 
     def test_bounded_memo_still_correct(self):
         tasksets = _population(seed=75)

@@ -1,10 +1,9 @@
-"""Equivalence tests of the batched RTA fast path.
+"""Equivalence tests of the task-set pass on the record kernel.
 
-The contract: :mod:`repro.rta.batch` must agree with the per-task scalar
-analyses (:func:`worst_case_response_time` / :func:`best_case_response_time`
-via :func:`latency_jitter`) on every task of every task set -- same
-infinities, same guard decisions, values equal to floating-point summation
-order (the two paths sum interference in different task orders).
+The contract: :func:`repro.rta.popbatch.analyze_taskset` must agree with
+the reference per-task analyses (:func:`worst_case_response_time` /
+:func:`best_case_response_time` via :func:`latency_jitter`) on every task
+of every task set -- same infinities, same guard decisions, same values.
 """
 
 from __future__ import annotations
@@ -17,20 +16,14 @@ import pytest
 from repro.assignment.unsafe_quadratic import assign_unsafe_quadratic
 from repro.assignment.validate import validate_assignment
 from repro.benchgen.uunifast import uunifast
-from repro.rta.batch import (
+from repro.rta.popbatch import (
+    analyze_population,
     analyze_taskset,
-    batch_response_times,
-    batch_validate,
     guarded_ceil_array,
 )
 from repro.rta.interface import latency_jitter
 from repro.rta.taskset import Task, TaskSet
 from repro.rta.wcrt import guarded_ceil
-
-#: Agreement tolerance: the scalar and batched paths may differ by float
-#: summation order only.
-_RTOL = 1e-9
-
 
 def _random_uunifast_taskset(rng: np.random.Generator, n: int) -> TaskSet:
     """A priority-assigned UUniFast task set with random rational periods."""
@@ -69,6 +62,11 @@ class TestGuardedCeilArray:
                 4.000000001,
                 1e6 * (1.0 + 1e-10),
                 7.3,
+                # Positive quotients inside the guard band of zero still
+                # count one job; only an exact zero ceils to zero.
+                1e-12,
+                1e-10,
+                0.0,
             ]
         )
         batched = guarded_ceil_array(quotients)
@@ -97,17 +95,9 @@ class TestEquivalence:
                 checked_tasks += 1
                 if math.isinf(reference.worst):
                     infinite_seen += 1
-                    assert math.isinf(fast.worst), task
-                else:
-                    assert fast.worst == pytest.approx(
-                        reference.worst, rel=_RTOL
-                    )
-                if math.isinf(reference.best):
-                    assert math.isinf(fast.best)
-                else:
-                    assert fast.best == pytest.approx(
-                        reference.best, rel=_RTOL
-                    )
+                # Same hp order, same accumulation: bitwise equal.
+                assert fast.worst == reference.worst, task
+                assert fast.best == reference.best, task
         assert checked_tasks > 1000
         # The drawn utilisations must actually exercise the inf branch.
         assert infinite_seen > 0
@@ -155,7 +145,7 @@ class TestBatchValidate:
                 assigned = assign_unsafe_quadratic(taskset).apply_to(taskset)
                 tasksets.append(assigned)
         reference = [validate_assignment(ts).valid for ts in tasksets]
-        assert batch_validate(tasksets) == reference
+        assert [analyze_taskset(ts).stable for ts in tasksets] == reference
 
     def test_violating_names_match_report(self):
         taskset = TaskSet(
@@ -176,9 +166,9 @@ class TestBatchValidate:
                 Task(name="b", period=8.0, wcet=2.0, priority=1),
             ]
         )
-        times = batch_response_times([taskset, taskset])
-        assert len(times) == 2
-        assert set(times[0]) == {"a", "b"}
+        analyses = analyze_population([taskset, taskset])
+        assert len(analyses) == 2
+        assert set(analyses[0].times) == {"a", "b"}
 
     def test_requires_distinct_priorities(self):
         from repro.errors import ModelError

@@ -30,6 +30,13 @@ class TestGuardedCeil:
     def test_real_excess_still_ceils(self):
         assert guarded_ceil(2.0 + 1e-6) == 3
 
+    def test_positive_quotient_never_rounds_to_zero(self):
+        # Inside the guard band of zero: an interferer whose period is
+        # >= 1e9 x the response still releases its critical-instant job.
+        assert guarded_ceil(1e-12) == 1
+        assert guarded_ceil(1e-10) == 1
+        assert guarded_ceil(1e-9) == 1
+
 
 class TestWcrt:
     def test_no_interference(self):
@@ -56,6 +63,21 @@ class TestWcrt:
         lo = _task("lo", 100.0, 1.0)
         with pytest.raises(ScheduleError):
             worst_case_response_time(lo, [hi])
+
+    def test_saturated_interference_under_finite_limit_is_inf(self):
+        # 1e5 hp jobs fit before the limit: iterating would run out of
+        # steps long before crossing it.
+        hi = _task("hi", 0.001, 0.001)
+        lo = _task("lo", 100.0, 0.0001)
+        assert worst_case_response_time(lo, [hi], limit=100.0) == float("inf")
+
+    def test_very_slow_interferer_counts_one_job(self):
+        # wcet / hp period = 1e-9: the first iterate holds the whole hp
+        # job, past a 0.4 s deadline and exactly 0.501 s below 1.0 s.
+        huge = _task("huge", 1e6, 0.5)
+        fast = _task("fast", 1.0, 0.001)
+        assert worst_case_response_time(fast, [huge], limit=0.4) == float("inf")
+        assert worst_case_response_time(fast, [huge], limit=1.0) == 0.501
 
     def test_exact_boundary_fit(self):
         # Interferer consumes exactly the first half of each period.

@@ -35,7 +35,8 @@ from repro.anomalies.scenarios import priority_raise_anomaly_example
 from repro.api import analyze, assign
 from repro.assignment import count_valid_orders
 from repro.benchgen.taskgen import generate_control_taskset
-from repro.search import SearchContext, run_strategy
+from repro.memo import AnalysisMemo
+from repro.search import run_strategy
 
 #: Census-protocol coordinates of the pinned greedy-dead-end instance.
 CENSUS_SEED, CENSUS_N, CENSUS_INDEX = 2017, 4, 72
@@ -49,7 +50,7 @@ def census_anomaly_instance():
 class TestPriorityRaiseFixture:
     def test_sound_strategies_refind_a_valid_order(self):
         taskset, control = priority_raise_anomaly_example()
-        context = SearchContext()
+        context = AnalysisMemo()
         for algorithm in ("audsley", "backtracking", "unsafe_quadratic"):
             result = run_strategy(algorithm, taskset, context=context)
             assert result.succeeded, algorithm
@@ -86,7 +87,7 @@ class TestCensusAnomalyInstance:
 
     def test_headline_ordering(self):
         taskset = census_anomaly_instance()
-        context = SearchContext()
+        context = AnalysisMemo()
 
         unsafe = run_strategy("unsafe_quadratic", taskset, context=context)
         assert unsafe.priorities is not None  # always commits ...
@@ -118,7 +119,7 @@ class TestCensusAnomalyInstance:
             ("unsafe_quadratic", "audsley", "backtracking"),
             ("backtracking", "unsafe_quadratic", "audsley"),
         ):
-            context = SearchContext()
+            context = AnalysisMemo()
             for name in order:
                 warm = run_strategy(name, taskset, context=context)
                 assert warm.priorities == cold[name].priorities, name

@@ -8,8 +8,9 @@ from _population import random_taskset
 from repro.assignment.predicate import EvaluationCounter, stability_slack
 from repro.errors import ModelError
 from repro.rta.interface import latency_jitter
-from repro.search import SearchContext, run_strategy
-from repro.search.kernels import evaluate_candidate, make_record
+from repro.memo import AnalysisMemo
+from repro.memo.kernels import evaluate_candidate, make_record
+from repro.search import run_strategy
 
 
 def _record(task):
@@ -53,7 +54,7 @@ class TestKernelsMatchScalarPredicate:
 class TestContextMemo:
     def test_logical_count_ticks_on_hits(self):
         taskset = random_taskset(4, 1)
-        context = SearchContext()
+        context = AnalysisMemo()
         run = context.run()
         ids = context.intern_all(taskset)
         first = run.level_slacks(ids)
@@ -65,7 +66,7 @@ class TestContextMemo:
 
     def test_interning_is_content_keyed(self):
         taskset = random_taskset(4, 2)
-        context = SearchContext()
+        context = AnalysisMemo()
         a = context.intern_all(taskset)
         b = context.intern_all(taskset.copy())  # fresh objects, same content
         assert a == b
@@ -73,7 +74,7 @@ class TestContextMemo:
 
     def test_memo_shared_across_tasksets_with_common_tasks(self):
         taskset = random_taskset(5, 3)
-        context = SearchContext()
+        context = AnalysisMemo()
         run_strategy("audsley", taskset, context=context)
         # A second task set sharing 4 of 5 tasks: subproblems not
         # involving the changed task replay from the memo.
@@ -88,7 +89,7 @@ class TestContextMemo:
 
     def test_per_run_counters_are_independent(self):
         taskset = random_taskset(4, 4)
-        context = SearchContext()
+        context = AnalysisMemo()
         first = run_strategy("audsley", taskset, context=context)
         second = run_strategy("unsafe_quadratic", taskset, context=context)
         assert first.evaluations == second.evaluations

@@ -21,7 +21,7 @@ from repro.assignment import (
     assign_unsafe_quadratic,
     count_valid_orders,
 )
-from repro.search import SearchContext
+from repro.memo import AnalysisMemo
 
 from _population import random_taskset
 from _seed_reference import SEED_ALGORITHMS, seed_count_valid_orders
@@ -47,7 +47,7 @@ SUITE = (
 
 
 def _assert_suite_equivalent(taskset, *, exhaustive: bool, where: str):
-    shared = SearchContext()
+    shared = AnalysisMemo()
     for algorithm in SUITE:
         if algorithm == "exhaustive" and not exhaustive:
             continue
@@ -83,7 +83,7 @@ class TestSeedEquivalenceSmoke:
                 taskset
             )
             # And through a warmed shared context.
-            context = SearchContext()
+            context = AnalysisMemo()
             assign_exhaustive(taskset, context=context)
             assert (
                 count_valid_orders(taskset, context=context)
@@ -112,7 +112,7 @@ class TestSeedEquivalence250:
             for index in range(34):
                 taskset = random_taskset(n, index)
                 expected = SEED_ALGORITHMS["exhaustive"](taskset)
-                shared = SearchContext()
+                shared = AnalysisMemo()
                 # Warm the memo through the greedy suite first -- the
                 # exhaustive run must be equivalent even fully cached.
                 assign_audsley(taskset, context=shared)

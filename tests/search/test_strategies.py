@@ -8,12 +8,8 @@ from _population import random_taskset
 from repro.api import analyze, assign
 from repro.errors import ModelError
 from repro.rta.taskset import Task, TaskSet
-from repro.search import (
-    STRATEGIES,
-    SearchContext,
-    run_strategy,
-    strategy_names,
-)
+from repro.memo import AnalysisMemo
+from repro.search import STRATEGIES, run_strategy, strategy_names
 
 
 class TestRegistry:
@@ -34,7 +30,7 @@ class TestRegistry:
 
 class TestEngineBehaviour:
     def test_input_taskset_never_mutated(self, easy_taskset):
-        context = SearchContext()
+        context = AnalysisMemo()
         for name in strategy_names():
             run_strategy(name, easy_taskset, context=context)
         assert all(t.priority is None for t in easy_taskset)
@@ -65,7 +61,7 @@ class TestEngineBehaviour:
         assert result.evaluations <= 3
 
     def test_succeeded_and_recomputations_properties(self, easy_taskset):
-        context = SearchContext()
+        context = AnalysisMemo()
         first = run_strategy("backtracking", easy_taskset, context=context)
         second = run_strategy("backtracking", easy_taskset, context=context)
         assert first.succeeded and second.succeeded
@@ -77,7 +73,7 @@ class TestEngineBehaviour:
     def test_assignments_validate_through_facade(self):
         for n, index in ((4, 0), (5, 1), (6, 2)):
             taskset = random_taskset(n, index)
-            context = SearchContext()
+            context = AnalysisMemo()
             for name in ("audsley", "backtracking"):
                 result = run_strategy(name, taskset, context=context)
                 if result.priorities is not None:

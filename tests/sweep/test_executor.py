@@ -92,6 +92,22 @@ class TestCacheResume:
         assert resumed.meta["cache_hits"] == spec.n_chunks - 1
         assert resumed.canonical_json() == run_sweep(spec, jobs=1).canonical_json()
 
+    def test_older_format_chunk_recomputed(self, tmp_path):
+        # Format-1 chunks were written by the kernels before the v2.0.0
+        # RTA contract: resume must recompute them, not trust them.
+        spec = _draw_spec()
+        cold = run_sweep(spec, jobs=1, cache_dir=str(tmp_path))
+        victim = sorted(os.listdir(tmp_path))[0]
+        data = json.loads((tmp_path / victim).read_text())
+        assert data["format"] == 2
+        data["format"] = 1
+        for record in data["records"]:
+            record["draw"] = -1.0
+        (tmp_path / victim).write_text(json.dumps(data))
+        resumed = run_sweep(spec, jobs=1, cache_dir=str(tmp_path), resume=True)
+        assert resumed.meta["cache_hits"] == spec.n_chunks - 1
+        assert resumed.canonical_json() == cold.canonical_json()
+
     def test_without_resume_cache_is_write_only(self, tmp_path):
         spec = _draw_spec()
         run_sweep(spec, jobs=1, cache_dir=str(tmp_path))
