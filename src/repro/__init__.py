@@ -84,7 +84,7 @@ from repro.errors import (
 from repro.jittermargin.linearbound import LinearStabilityBound
 from repro.rta.taskset import Task, TaskSet
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     # the analysis façade

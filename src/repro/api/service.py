@@ -600,7 +600,8 @@ def analyze_batch(
 
     A single-worker run without a cache directory skips the engine and
     its record round trip entirely -- the serial hot path stays at the
-    raw batched-kernel speed (pinned by ``BENCH_api.json``).
+    raw batched-kernel speed (README's benchmark history records the
+    ratio).
 
     ``memo`` routes every report through a shared
     :class:`~repro.memo.AnalysisMemo` (see :func:`analyze`) and only

@@ -75,15 +75,10 @@ window, and offline event-log replay::
     python -m repro obs detect --revalidate --out findings.json
     python -m repro obs replay events.jsonl
 
-Scaling past one process: ``serve --jobs N`` fronts a persistent
-process pool (:mod:`repro.cluster`), ``serve --workers N`` runs N
-``SO_REUSEPORT``-sharded daemons behind one port, and ``loadgen`` is
-the open-loop load generator (:mod:`repro.loadgen`) that measures
-them::
+``serve --jobs N`` computes model batches on a persistent process pool
+(:class:`repro.exec.PoolBackend`) behind the one front end::
 
-    python -m repro serve --port 8787 --workers 4 --cache-dir .serve-cache
-    python -m repro loadgen --rates 100 200 400 --requests 500 \
-        --verify --out BENCH_load.json
+    python -m repro serve --port 8787 --jobs 4 --cache-dir .serve-cache
 
 Every ``--jobs`` option accepts ``auto`` (or ``0``) to use all cores.
 """
@@ -453,88 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="snapshot the anomaly-detection report window here on clean "
         "shutdown and reload it on start",
     )
-    serve.add_argument(
-        "--workers",
-        type=_parse_jobs,
-        default=1,
-        help="SO_REUSEPORT shards: run N full daemon processes sharing "
-        "one port and one --cache-dir disk store, with crash restart "
-        "and aggregated /v1/cluster/stats (default 1 = unsharded; "
-        "0 or 'auto' = all cores; combine with --jobs for a "
-        "process-pool compute backend inside each daemon)",
-    )
     _add_jobs_option(serve)
-
-    loadgen = sub.add_parser(
-        "loadgen",
-        help="open-loop load test against a running analysis daemon "
-        "(fixed arrival rate, latency percentiles, saturation curves)",
-    )
-    loadgen.add_argument("--host", type=str, default="127.0.0.1")
-    loadgen.add_argument("--port", type=int, default=8787)
-    loadgen.add_argument(
-        "--rates",
-        type=float,
-        nargs="+",
-        default=[50.0, 100.0, 200.0],
-        help="offered arrival rates (requests/s), one ramp stage each",
-    )
-    loadgen.add_argument(
-        "--requests",
-        type=int,
-        default=200,
-        help="requests per ramp stage",
-    )
-    loadgen.add_argument(
-        "--endpoint",
-        type=str,
-        default="analyze",
-        choices=("analyze", "assign"),
-        help="daemon endpoint to drive",
-    )
-    loadgen.add_argument(
-        "--algorithm",
-        type=str,
-        default=None,
-        help="assignment algorithm for --endpoint assign",
-    )
-    loadgen.add_argument(
-        "--unique",
-        type=int,
-        default=24,
-        help="distinct systems in the workload request pool",
-    )
-    loadgen.add_argument(
-        "--repeat-fraction",
-        type=float,
-        default=0.5,
-        help="fraction of requests re-submitting an already-seen model",
-    )
-    loadgen.add_argument("--seed", type=int, default=7)
-    loadgen.add_argument(
-        "--timeout",
-        type=float,
-        default=30.0,
-        help="per-request budget in seconds (over budget = timeout)",
-    )
-    loadgen.add_argument(
-        "--max-connections",
-        type=int,
-        default=512,
-        help="in-flight socket cap (arrivals past it queue, measured)",
-    )
-    loadgen.add_argument(
-        "--verify",
-        action="store_true",
-        help="assert byte-identity of every response against the direct "
-        "façade output (counted as mismatches)",
-    )
-    loadgen.add_argument(
-        "--out",
-        type=str,
-        default=None,
-        help="write the canonical saturation-curve artifact here",
-    )
 
     request = sub.add_parser(
         "request",
@@ -910,7 +824,10 @@ def _run_serve_command(args: argparse.Namespace) -> int:
     from repro.obs.logs import configure_serve_logging
     from repro.serve import AnalysisDaemon
 
-    daemon_options = dict(
+    configure_serve_logging(args.log_level, json_mode=args.log_json)
+    daemon = AnalysisDaemon(
+        host=args.host,
+        port=args.port,
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         batch_window=args.batch_window,
@@ -924,15 +841,6 @@ def _run_serve_command(args: argparse.Namespace) -> int:
         detect_revalidate=args.detect_revalidate,
         detect_out=args.detect_out,
         window_file=args.window_file,
-    )
-    if args.workers != 1:
-        return _run_serve_sharded(args, daemon_options)
-
-    configure_serve_logging(args.log_level, json_mode=args.log_json)
-    daemon = AnalysisDaemon(
-        host=args.host,
-        port=args.port,
-        **daemon_options,
     )
 
     # Print the endpoint once the socket is bound (port 0 resolves to a
@@ -953,147 +861,6 @@ def _run_serve_command(args: argparse.Namespace) -> int:
     threading.Thread(target=announce, daemon=True).start()
     daemon.run()
     return 0
-
-
-def _run_serve_sharded(
-    args: argparse.Namespace, daemon_options: Dict[str, Any]
-) -> int:
-    """``serve --workers N``: the SO_REUSEPORT shard cluster."""
-    from repro.cluster import ClusterError, ShardManager
-    from repro.obs.logs import configure_serve_logging
-
-    # The manager's own supervision lines; each shard process configures
-    # its own logging from the options forwarded below.
-    configure_serve_logging(args.log_level, json_mode=args.log_json)
-    daemon_options = dict(
-        daemon_options, log_level=args.log_level, log_json=args.log_json
-    )
-    try:
-        manager = ShardManager(
-            host=args.host,
-            port=args.port,
-            workers=args.workers,
-            daemon_options=daemon_options,
-        )
-        manager.start()
-    except ClusterError as error:
-        print(f"serve: {error}", file=sys.stderr)
-        return 2
-    print(
-        f"[repro serve] {manager.workers} shards listening on "
-        f"http://{manager.host}:{manager.port} (SO_REUSEPORT, "
-        f"jobs={args.jobs} each, cache-dir={args.cache_dir or 'none'}); "
-        "POST /v1/shutdown or Ctrl-C to stop",
-        flush=True,
-    )
-    try:
-        manager.wait()
-    except KeyboardInterrupt:
-        pass
-    return 0
-
-
-def _run_loadgen_command(args: argparse.Namespace) -> int:
-    from repro.loadgen import (
-        LoadGenError,
-        LoadGenerator,
-        encode_stream,
-        ramp_stages,
-        write_load_artifact,
-    )
-    from repro.scenarios.workload import scenario_request_stream
-    from repro.serve import ServeClientError, wait_until_ready
-
-    try:
-        wait_until_ready(args.host, args.port, timeout=5.0)
-    except ServeClientError as error:
-        print(f"loadgen: {error}", file=sys.stderr)
-        return 2
-    # One stage's worth of distinct traffic, replayed at each rate: the
-    # saturation curve then varies *only* the offered rate.
-    stream = scenario_request_stream(
-        args.requests,
-        unique=args.unique,
-        repeat_fraction=args.repeat_fraction,
-        seed=args.seed,
-    )
-    try:
-        requests, expected = encode_stream(
-            stream,
-            host=args.host,
-            port=args.port,
-            endpoint=args.endpoint,
-            algorithm=args.algorithm,
-            verify=args.verify,
-        )
-        generator = LoadGenerator(
-            args.host,
-            args.port,
-            timeout=args.timeout,
-            max_connections=args.max_connections,
-        )
-        result = generator.run(
-            ramp_stages(args.rates, args.requests),
-            requests,
-            expected=expected,
-        )
-    except LoadGenError as error:
-        print(f"loadgen: {error}", file=sys.stderr)
-        return 2
-    result["endpoint"] = args.endpoint
-    result["workload"] = {
-        "unique": args.unique,
-        "repeat_fraction": args.repeat_fraction,
-        "seed": args.seed,
-    }
-    from repro.experiments.report import format_table
-
-    rows = [
-        (
-            f"{stage['offered_rate']:g}",
-            f"{stage['achieved_rate']:g}",
-            stage["ok"],
-            stage["http_errors"]
-            + stage["connect_errors"]
-            + stage["timeouts"],
-            f"{stage['latency_seconds']['p50'] * 1e3:.2f}",
-            f"{stage['latency_seconds']['p99'] * 1e3:.2f}",
-            f"{stage['latency_seconds']['p999'] * 1e3:.2f}",
-        )
-        for stage in result["stages"]
-    ]
-    print(
-        format_table(
-            [
-                "offered req/s",
-                "achieved",
-                "ok",
-                "errors",
-                "p50 ms",
-                "p99 ms",
-                "p999 ms",
-            ],
-            rows,
-            title=(
-                f"Open-loop load test: {args.endpoint} @ "
-                f"{args.host}:{args.port}"
-            ),
-        )
-    )
-    totals = result["totals"]
-    verified = " (byte-identity verified)" if args.verify else ""
-    print(
-        f"[loadgen: {totals['sent']} sent, {totals['ok']} ok, "
-        f"{totals['mismatches']} mismatches, "
-        f"error rate {totals['error_rate']:.2%}{verified}]"
-    )
-    if args.out:
-        sha = write_load_artifact(args.out, result)
-        print(f"[artifact written to {args.out} ({sha[:16]})]")
-    failed = totals["mismatches"] > 0 or (
-        args.verify and totals["ok"] == 0
-    )
-    return 1 if failed else 0
 
 
 def _run_request_command(args: argparse.Namespace) -> int:
@@ -1319,8 +1086,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _run_analyze_command(args)
     if args.experiment == "serve":
         return _run_serve_command(args)
-    if args.experiment == "loadgen":
-        return _run_loadgen_command(args)
     if args.experiment == "request":
         return _run_request_command(args)
     if args.experiment == "obs":

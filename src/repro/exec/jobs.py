@@ -1,8 +1,8 @@
 """Job-count resolution for the execution plane.
 
 ``--jobs`` semantics are defined here and **only** here: every layer
-that accepts a job count (sweeps, batch APIs, the daemon, the cluster
-supervisor, benchmarks) routes through :func:`resolve_jobs`, and
+that accepts a job count (sweeps, batch APIs, the daemon) routes
+through :func:`resolve_jobs`, and
 ``repro.sweep.resolve_jobs`` is a plain re-export.  One module, one
 answer to "what does ``--jobs auto`` mean".
 """

@@ -10,8 +10,8 @@ analyses the paper builds on:
 * :mod:`~repro.rta.bcrt` -- exact best-case response time, eq. (4)
   (Redell & Sanfridson).
 * :mod:`~repro.rta.interface` -- the latency/jitter interface of eq. (2):
-  ``L_i = R^b_i``, ``J_i = R^w_i - R^b_i``, plus schedulability and
-  stability checks of complete priority assignments.
+  ``L_i = R^b_i``, ``J_i = R^w_i - R^b_i``, and the per-task stability
+  predicate the assignment algorithms evaluate.
 * :mod:`~repro.rta.popbatch` -- whole task sets and populations on the
   record kernel of :mod:`repro.memo.kernels` and its stacked twin.
 
@@ -26,8 +26,6 @@ from repro.rta.interface import (
     latency_jitter,
     response_time_interface,
     task_is_stable,
-    taskset_is_schedulable,
-    taskset_is_stable,
 )
 from repro.rta.taskset import Task, TaskSet
 from repro.rta.wcrt import worst_case_response_time
@@ -41,8 +39,6 @@ __all__ = [
     "latency_jitter",
     "response_time_interface",
     "task_is_stable",
-    "taskset_is_schedulable",
-    "taskset_is_stable",
     "analyze_population",
     "evaluate_problems",
 ]

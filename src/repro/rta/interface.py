@@ -123,28 +123,3 @@ def task_is_stable(
     if task.stability is None:
         return True
     return task.stability.is_stable(times.latency, times.jitter)
-
-
-def taskset_is_schedulable(taskset: TaskSet) -> bool:
-    """All deadlines met (``R^w_i <= h_i``) under the assigned priorities.
-
-    .. deprecated:: prefer ``repro.api.analyze(taskset).schedulable``,
-       which shares one batched pass with the stability verdict.
-    """
-    taskset.check_distinct_priorities()
-    return all(
-        latency_jitter(task, taskset.higher_priority(task)).finite
-        for task in taskset
-    )
-
-
-def taskset_is_stable(taskset: TaskSet) -> bool:
-    """All deadlines met and all stability constraints satisfied.
-
-    .. deprecated:: prefer ``repro.api.analyze(taskset).stable``, which
-       also reports which tasks violate and by how much.
-    """
-    taskset.check_distinct_priorities()
-    return all(
-        task_is_stable(task, taskset.higher_priority(task)) for task in taskset
-    )

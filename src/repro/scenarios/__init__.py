@@ -53,7 +53,6 @@ from repro.scenarios.workload import (
     drifting_request_stream,
     edited_model_request_stream,
     scenario_request_pool,
-    scenario_request_stream,
     scenario_run_json,
     scenario_run_payload,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "drifting_request_stream",
     "edited_model_request_stream",
     "scenario_request_pool",
-    "scenario_request_stream",
     "scenario_run_json",
     "scenario_run_payload",
     "ScenarioSpec",

@@ -1,8 +1,8 @@
 """Scenario-drawn request streams for the serving layer.
 
-The serve benchmark (and any load test of :mod:`repro.serve`) needs
-request traffic that is *diverse* -- different task counts, utilisations,
-perturbation structures -- and *repetitive* -- real serving traffic
+The serve benchmark and the daemon tests need request traffic that is
+*diverse* -- different task counts, utilisations, perturbation
+structures -- and *repetitive* -- real serving traffic
 re-analyses the same designs, which is what the daemon's
 content-addressed store exploits.  Instead of inventing a synthetic
 model generator, the stream draws its systems from the scenario
@@ -26,7 +26,7 @@ from repro.benchgen.uunifast import uunifast
 from repro.errors import ModelError
 from repro.jittermargin.linearbound import LinearStabilityBound
 from repro.rta.taskset import Task, TaskSet
-from repro.scenarios.registry import get_scenario, scenario_names
+from repro.scenarios.registry import get_scenario
 
 #: Default scenarios behind a request stream: structurally different
 #: sources (fixed single loop, benchmark draws, perturbed populations),
@@ -298,40 +298,3 @@ def scenario_run_json(name: str, *, instances: int, seed: int = 7) -> str:
     return canonical_dumps(
         scenario_run_payload(name, instances=instances, seed=seed)
     )
-
-
-def scenario_request_stream(
-    n_requests: int,
-    *,
-    unique: int = 24,
-    repeat_fraction: float = 0.5,
-    seed: int = 7,
-    scenarios: Optional[Sequence[str]] = None,
-) -> List[ControlTaskSystem]:
-    """A request stream of ``n_requests`` systems with realistic repeats.
-
-    ``repeat_fraction`` of the requests (in expectation) re-submit a
-    model already seen earlier in the stream -- the traffic shape a
-    content-addressed cache is built for; the rest walk forward through
-    the pool of ``unique`` distinct systems.  ``repeat_fraction=0`` with
-    ``n_requests <= unique`` gives an all-distinct stream (the
-    cache-hostile worst case).
-    """
-    if n_requests < 1:
-        raise ModelError(f"stream needs >= 1 requests, got {n_requests}")
-    if not (0.0 <= repeat_fraction <= 1.0):
-        raise ModelError(
-            f"repeat_fraction must be in [0, 1], got {repeat_fraction}"
-        )
-    pool = scenario_request_pool(unique=unique, seed=seed, scenarios=scenarios)
-    rng = np.random.default_rng([seed, 0x5EB7E, n_requests])
-    stream: List[ControlTaskSystem] = []
-    fresh = 0
-    for _ in range(n_requests):
-        seen = min(fresh, len(pool))
-        if seen and (fresh >= len(pool) or rng.random() < repeat_fraction):
-            stream.append(pool[int(rng.integers(seen))])
-        else:
-            stream.append(pool[fresh])
-            fresh += 1
-    return stream

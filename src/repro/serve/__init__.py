@@ -17,13 +17,11 @@ batched kernels instead of scalar per-request work:
 
 Serving contract: a served response is **byte-identical** to the direct
 in-process façade output for the same model (same versioned schema, same
-``canonical_sha256``) -- pinned by the end-to-end tests and the CI smoke,
-and held at every worker count.
+``canonical_sha256``) -- pinned by the end-to-end tests and held at
+every ``--jobs`` count.
 
-Scaling out lives in :mod:`repro.cluster` (``--jobs N`` routes batches
-to a persistent process pool; ``--workers N`` runs N ``SO_REUSEPORT``
-shard daemons behind one port) and load testing in :mod:`repro.loadgen`
-(``python -m repro loadgen``, open-loop saturation curves).
+One daemon process serves every request; ``--jobs N`` routes model
+batches to a persistent process pool (:class:`repro.exec.PoolBackend`).
 
 Quickstart::
 

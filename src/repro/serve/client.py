@@ -27,8 +27,8 @@ class ServeClient:
     """One daemon endpoint; a fresh connection per request.
 
     Connection-per-request keeps the client trivially thread-safe (the
-    benchmark's load generator fires it from a thread pool) and matches
-    the daemon's ``Connection: close`` responses.
+    tests fire it from many threads) and matches the daemon's
+    ``Connection: close`` responses.
     """
 
     def __init__(
@@ -227,30 +227,6 @@ class ServeClient:
 
     def shutdown(self) -> Dict[str, Any]:
         return self._json("POST", "/v1/shutdown")
-
-    # -- cluster -------------------------------------------------------------
-    def cluster_stats(self) -> Dict[str, Any]:
-        """``GET /v1/cluster/stats``: counters aggregated across shards."""
-        return self._json("GET", "/v1/cluster/stats")
-
-    def cluster_metrics(self) -> str:
-        """``GET /v1/cluster/metrics``: aggregated text exposition."""
-        status, payload = self.request_raw("GET", "/v1/cluster/metrics")
-        if status != 200:
-            raise ServeClientError(
-                f"GET /v1/cluster/metrics failed ({status}): {payload[:200]!r}"
-            )
-        return payload.decode("utf-8")
-
-    def set_cluster_peers(
-        self, peers: list, *, restarts: int = 0
-    ) -> Dict[str, Any]:
-        """``POST /v1/cluster/peers``: push the shard member list."""
-        body = json.dumps(
-            {"peers": [[host, port] for host, port in peers],
-             "restarts": restarts}
-        ).encode("utf-8")
-        return self._json("POST", "/v1/cluster/peers", body)
 
 
 def wait_until_ready(

@@ -51,17 +51,10 @@ scalar cost per request:
    incremental accounting is surfaced out-of-band in response headers
    (``X-Repro-Source``, ``X-Repro-Memo-Hits``,
    ``X-Repro-Memo-Recomputations``) and aggregated in ``GET /v1/stats``
-   under ``"memo"``.  ``--memo-entries 0`` disables the layer (the
-   benchmark's memo-off baseline); with ``--jobs > 1`` model batches go
-   to the persistent worker pool (:class:`repro.exec.PoolBackend`) where each
-   worker owns its own worker-lifetime memo instead.
-
-Horizontal scaling (:mod:`repro.cluster`): ``--jobs N`` pools the
-compute behind one front end; ``--workers N`` shards the whole daemon
-across N ``SO_REUSEPORT`` processes sharing one port and disk store,
-with ``GET /v1/cluster/stats`` / ``/v1/cluster/metrics`` aggregating
-counters across shards (peer list pushed by the manager via
-``POST /v1/cluster/peers`` to each shard's private control port).
+   under ``"memo"``.  ``--memo-entries 0`` disables the layer; with
+   ``--jobs > 1`` model batches go to the persistent worker pool
+   (:class:`repro.exec.PoolBackend`) where each worker owns its own
+   worker-lifetime memo instead.
 
 CLI: ``python -m repro serve [--port --jobs --cache-dir ...]``; drive it
 with ``python -m repro request <model.json>`` or plain ``curl``.
@@ -136,7 +129,6 @@ class AnalysisDaemon:
         batch_window: float = 0.005,
         max_batch: int = 64,
         store_entries: int = 1024,
-        cache_responses: bool = True,
         read_timeout: float = 30.0,
         memo_entries: int = 65536,
         obs: bool = True,
@@ -144,10 +136,6 @@ class AnalysisDaemon:
         event_log: Optional[str] = None,
         detect_interval: float = 0.0,
         detect_revalidate: bool = False,
-        reuse_port: bool = False,
-        control_port: Optional[int] = None,
-        shard_index: Optional[int] = None,
-        shard_workers: Optional[int] = None,
         window_file: Optional[str] = None,
         detect_out: Optional[str] = None,
     ):
@@ -175,20 +163,6 @@ class AnalysisDaemon:
             if memo_entries > 0 and self.pool is None
             else None
         )
-        #: SO_REUSEPORT sharded mode (:mod:`repro.cluster.shard`): the
-        #: public socket is shared with sibling daemon processes; a
-        #: private control listener (same handler, own ephemeral port)
-        #: gives the shard manager and the cluster-stats fan-out a
-        #: deterministic way to reach *this* shard.
-        self.reuse_port = reuse_port
-        self.control_port = control_port
-        self._control_server: Optional[asyncio.base_events.Server] = None
-        self.shard_index = shard_index
-        self.shard_workers = shard_workers
-        #: ``(host, control_port)`` of every cluster member (self
-        #: included), pushed by the manager via ``POST /v1/cluster/peers``.
-        self.peers: List[Tuple[str, int]] = []
-        self.cluster_restarts = 0
         #: Report-window snapshot file: reloaded on start, written on
         #: clean shutdown, so the detector window survives restarts.
         self.window_file = window_file
@@ -199,10 +173,6 @@ class AnalysisDaemon:
         #: tail-reads this file.
         self.detect_out = detect_out
         self.findings_exported = 0
-        #: ``False`` turns the content-addressed store off entirely --
-        #: the per-request-dispatch baseline the serve benchmark compares
-        #: against.  Production serving keeps it on.
-        self.cache_responses = cache_responses
         #: Budget for *receiving* a request (line + headers + body).  A
         #: client that connects and stalls is cut off instead of pinning
         #: a handler task and fd forever; computation time is unbounded
@@ -377,27 +347,26 @@ class AnalysisDaemon:
         """
         store_kind = "-".join(part for part in kind_group if part)
         started = time.perf_counter()
-        if self.cache_responses:
-            if self.cache_dir:
-                cached = await asyncio.to_thread(self.store.get, store_kind, sha)
-            else:
-                cached = self.store.get(store_kind, sha)
+        if self.cache_dir:
+            cached = await asyncio.to_thread(self.store.get, store_kind, sha)
+        else:
+            cached = self.store.get(store_kind, sha)
+        if trace is not None:
+            trace.add_span(
+                "store_lookup",
+                time.perf_counter() - started,
+                outcome="hit" if cached is not None else "miss",
+            )
+        if cached is not None:
+            self.responses_from_cache += 1
             if trace is not None:
-                trace.add_span(
-                    "store_lookup",
-                    time.perf_counter() - started,
-                    outcome="hit" if cached is not None else "miss",
+                trace.annotate(source="store", sha=sha)
+            if kind_group[0] == "analyze":
+                self._record_served(
+                    sha, cached, source="store",
+                    started=started, trace=trace, meta=None,
                 )
-            if cached is not None:
-                self.responses_from_cache += 1
-                if trace is not None:
-                    trace.annotate(source="store", sha=sha)
-                if kind_group[0] == "analyze":
-                    self._record_served(
-                        sha, cached, source="store",
-                        started=started, trace=trace, meta=None,
-                    )
-                return 200, cached, {"X-Repro-Source": "store"}
+            return 200, cached, {"X-Repro-Source": "store"}
         submit_start = time.perf_counter()
         ok, body, meta = await self.batcher.submit(kind_group, sha, payload)
         if trace is not None:
@@ -422,7 +391,7 @@ class AnalysisDaemon:
             trace.annotate(source="computed", sha=sha)
         # Coalesced waiters all resolve with the same body; only the
         # first one past this check pays the store write.
-        if self.cache_responses and not self.store.seen(store_kind, sha):
+        if not self.store.seen(store_kind, sha):
             fill_start = time.perf_counter()
             if self.cache_dir:
                 await asyncio.to_thread(self.store.put, store_kind, sha, body)
@@ -618,8 +587,6 @@ class AnalysisDaemon:
                     "schema_version": SCHEMA_VERSION,
                     "jobs": self.jobs,
                     "mode": self._mode(),
-                    "shard_index": self.shard_index,
-                    "workers": self.shard_workers,
                 }
             )
         if path == "/v1/stats":
@@ -638,24 +605,6 @@ class AnalysisDaemon:
             return 200, text, {
                 "Content-Type": "text/plain; version=0.0.4; charset=utf-8"
             }
-        if path == "/v1/cluster/stats":
-            if method != "GET":
-                return 405, _json_body({"error": "use GET"})
-            return 200, _json_body(await self._cluster_stats())
-        if path == "/v1/cluster/metrics":
-            if method != "GET":
-                return 405, _json_body({"error": "use GET"})
-            from repro.cluster.aggregate import cluster_metrics_text
-
-            aggregate = await self._cluster_stats()
-            text = await asyncio.to_thread(cluster_metrics_text, aggregate)
-            return 200, text, {
-                "Content-Type": "text/plain; version=0.0.4; charset=utf-8"
-            }
-        if path == "/v1/cluster/peers":
-            if method != "POST":
-                return 405, _json_body({"error": "use POST"})
-            return self._set_peers(body)
         if path == "/v1/detect":
             if method != "POST":
                 return 405, _json_body({"error": "use POST"})
@@ -702,12 +651,9 @@ class AnalysisDaemon:
                     "GET /v1/health",
                     "GET /v1/stats",
                     "GET /v1/metrics",
-                    "GET /v1/cluster/stats",
-                    "GET /v1/cluster/metrics",
                     "GET /v1/scenarios",
                     "POST /v1/analyze",
                     "POST /v1/assign[?algorithm=...]",
-                    "POST /v1/cluster/peers",
                     "POST /v1/detect",
                     "POST /v1/scenarios/run",
                     "POST /v1/shutdown",
@@ -797,62 +743,8 @@ class AnalysisDaemon:
         json_with_hash, _ = canonical_json_with_hash(report)
         return json_with_hash
 
-    # -- cluster plumbing ----------------------------------------------------
     def _mode(self) -> str:
-        if self.shard_index is not None:
-            return "shard"
-        if self.pool is not None:
-            return "pool"
-        return "serial"
-
-    def _set_peers(self, body: bytes) -> Tuple[int, str]:
-        """``POST /v1/cluster/peers``: the manager pushes the member list.
-
-        Body: ``{"peers": [[host, control_port], ...], "restarts": n}``.
-        Every shard holds the full list (self included), so *any* shard
-        can answer the aggregated cluster routes.
-        """
-        try:
-            data = json.loads(body)
-            peers = [
-                (str(host), int(port)) for host, port in data["peers"]
-            ]
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-            self.errors += 1
-            return 400, _json_body(
-                {"error": "body must be {'peers': [[host, port], ...]}"}
-            )
-        self.peers = peers
-        self.cluster_restarts = int(data.get("restarts", 0) or 0)
-        return 200, _json_body({"status": "ok", "peers": len(peers)})
-
-    def _peer_stats(self, host: str, port: int) -> Optional[Dict[str, Any]]:
-        from repro.serve.client import ServeClient
-
-        try:
-            return ServeClient(host, port, timeout=5.0).stats()
-        except Exception:  # noqa: BLE001 -- a down shard is a data point
-            return None
-
-    async def _cluster_stats(self) -> Dict[str, Any]:
-        """Aggregated stats across every known peer (or just this shard).
-
-        Peer fetches are plain blocking HTTP clients run off-loop in
-        parallel; a shard that is down or mid-restart contributes a
-        ``None`` that the aggregation reports as ``workers_down``.
-        """
-        from repro.cluster.aggregate import aggregate_stats
-
-        peers = list(self.peers)
-        if not peers:
-            return aggregate_stats([self.stats()])
-        per_shard = await asyncio.gather(
-            *(
-                asyncio.to_thread(self._peer_stats, host, port)
-                for host, port in peers
-            )
-        )
-        return aggregate_stats(list(per_shard))
+        return "serial" if self.pool is None else "pool"
 
     # -- window persistence / findings export --------------------------------
     def _load_window(self) -> None:
@@ -981,27 +873,10 @@ class AnalysisDaemon:
         self._shutdown = asyncio.Event()
         self.batcher.start()
         self._load_window()
-        if self.reuse_port:
-            # Sharded mode: siblings bind the same (host, port); the
-            # kernel load-balances accepted connections across them.
-            self._server = await asyncio.start_server(
-                self._handle, host=self.host, port=self.port, reuse_port=True
-            )
-        else:
-            self._server = await asyncio.start_server(
-                self._handle, host=self.host, port=self.port
-            )
+        self._server = await asyncio.start_server(
+            self._handle, host=self.host, port=self.port
+        )
         self.port = self._server.sockets[0].getsockname()[1]
-        if self.control_port is not None:
-            # Same handler, private port: lets the shard manager (and the
-            # cluster-stats fan-out) address this specific shard even
-            # though the public port is shared.
-            self._control_server = await asyncio.start_server(
-                self._handle, host=self.host, port=self.control_port
-            )
-            self.control_port = (
-                self._control_server.sockets[0].getsockname()[1]
-            )
         if self.detect_interval > 0 and self.obs.enabled:
             self._detect_task = asyncio.get_running_loop().create_task(
                 self._detect_loop()
@@ -1019,8 +894,6 @@ class AnalysisDaemon:
                 "obs": self.obs.enabled,
                 "detect_interval": self.detect_interval,
                 "mode": self._mode(),
-                "shard_index": self.shard_index,
-                "control_port": self.control_port,
             },
         )
         self.started.set()
@@ -1081,10 +954,6 @@ class AnalysisDaemon:
             except asyncio.CancelledError:
                 pass
             self._detect_task = None
-        if self._control_server is not None:
-            self._control_server.close()
-            await self._control_server.wait_closed()
-            self._control_server = None
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -1128,16 +997,10 @@ class AnalysisDaemon:
             "errors": self.errors,
             "jobs": self.jobs,
             # Worker topology: how this daemon actually computes --
-            # "serial" (in-process), "pool" (process-pool backend), or
-            # "shard" (one of N SO_REUSEPORT processes).  Before this
-            # block there was no way to tell from a running daemon.
+            # "serial" (in-process) or "pool" (process-pool backend).
             "topology": {
                 "mode": self._mode(),
                 "jobs": self.jobs,
-                "shard_index": self.shard_index,
-                "shard_workers": self.shard_workers,
-                "cluster_restarts": self.cluster_restarts,
-                "peers": len(self.peers),
                 "pool": None if self.pool is None else self.pool.stats(),
             },
             "window_file": None
@@ -1171,9 +1034,9 @@ class AnalysisDaemon:
 def run_daemon_in_thread(daemon: AnalysisDaemon, timeout: float = 10.0):
     """Start ``daemon.run()`` on a background thread; wait until bound.
 
-    The harness entry point shared by the tests and the serve benchmark:
-    returns the started ``threading.Thread`` (join it after posting
-    ``/v1/shutdown``).  Raises if the socket does not come up in time.
+    The tests' harness entry point: returns the started
+    ``threading.Thread`` (join it after posting ``/v1/shutdown``).
+    Raises if the socket does not come up in time.
     """
     thread = threading.Thread(
         target=daemon.run, name="repro-serve-daemon", daemon=True

@@ -5,9 +5,6 @@ caller outside ``src/repro/exec/`` constructs a process pool (or
 imports the modules that would let it).  A source scan enforces it --
 cheaper than a custom flake8 plugin, and it fails with the offending
 file and line.
-
-Allowlist: ``cluster/shard.py`` supervises full daemon *processes*
-(fork/exec + signals), which is process management, not a compute pool.
 """
 
 from __future__ import annotations
@@ -27,14 +24,14 @@ _BANNED_IMPORT = re.compile(
 _BANNED_CALL = re.compile(r"\bProcessPoolExecutor\s*\(")
 
 #: Paths (relative to ``src/repro``) exempt from the ban.
-_ALLOWED = ("exec/", "cluster/shard.py")
+_ALLOWED = ("exec/",)
 
 
 def _violations(pattern: re.Pattern) -> list:
     found = []
     for path in sorted(SRC.rglob("*.py")):
         rel = path.relative_to(SRC).as_posix()
-        if rel.startswith(_ALLOWED[0]) or rel in _ALLOWED[1:]:
+        if rel.startswith(_ALLOWED):
             continue
         for lineno, line in enumerate(
             path.read_text().splitlines(), start=1

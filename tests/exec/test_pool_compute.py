@@ -9,6 +9,7 @@ that a worker death mid-batch never drops accepted requests.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import signal
 
@@ -18,7 +19,18 @@ from repro.api.service import analyze, assign
 from repro.exec import PoolBackend
 from repro.scenarios.workload import scenario_request_pool
 
-pytestmark = pytest.mark.loadgen
+
+def _kill_worker(pid):
+    """SIGKILL one pool worker and wait until it has exited.
+
+    ``os.kill`` returns before the process is gone: a worker still dying
+    when the next batch is dispatched can let the survivor answer every
+    slice first, and the crash then lands on a later batch.
+    """
+    (worker,) = [p for p in multiprocessing.active_children() if p.pid == pid]
+    os.kill(pid, signal.SIGKILL)
+    worker.join(timeout=10)
+    assert worker.exitcode == -signal.SIGKILL
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +106,7 @@ class TestCrashFailover:
     def test_worker_kill_mid_run_drops_nothing(self, pool, systems):
         pids = pool.worker_pids()
         assert len(pids) == 2
-        os.kill(pids[0], signal.SIGKILL)
+        _kill_worker(pids[0])
         results = pool.compute(("analyze",), systems)
         # Every accepted item still answered, byte-identical.
         assert [ok for ok, _, _ in results] == [True] * len(systems)
@@ -105,7 +117,7 @@ class TestCrashFailover:
         assert stats["pools_rebuilt"] >= 1
 
     def test_pool_recovers_after_crash(self, pool, systems):
-        os.kill(pool.worker_pids()[0], signal.SIGKILL)
+        _kill_worker(pool.worker_pids()[0])
         pool.compute(("analyze",), systems[:2])  # absorb the crash
         # The rebuilt pool serves normally again, workers alive.
         results = pool.compute(("analyze",), systems)
@@ -115,7 +127,7 @@ class TestCrashFailover:
     def test_failover_counted_in_stats(self, pool, systems):
         before = pool.stats()
         assert before["worker_crashes"] == 0
-        os.kill(pool.worker_pids()[1], signal.SIGKILL)
+        _kill_worker(pool.worker_pids()[1])
         pool.compute(("analyze",), systems)
         after = pool.stats()
         assert after["worker_crashes"] >= 1

@@ -9,9 +9,8 @@ from repro.rta.interface import (
     latency_jitter,
     response_time_interface,
     task_is_stable,
-    taskset_is_schedulable,
-    taskset_is_stable,
 )
+from repro.rta.popbatch import analyze_taskset
 from repro.rta.taskset import Task, TaskSet
 
 
@@ -49,7 +48,7 @@ class TestInterfaceOverTaskSet:
         assert set(interface) == {"hi", "me", "lo"}
 
     def test_schedulable_verdict(self, three_task_set):
-        assert taskset_is_schedulable(three_task_set)
+        assert analyze_taskset(three_task_set).deadlines_met
 
     def test_unschedulable_set_detected(self):
         ts = TaskSet(
@@ -58,7 +57,7 @@ class TestInterfaceOverTaskSet:
                 Task(name="b", period=4.0, wcet=1.0, priority=1),
             ]
         )
-        assert not taskset_is_schedulable(ts)
+        assert not analyze_taskset(ts).deadlines_met
 
 
 class TestStabilityChecks:
@@ -97,7 +96,7 @@ class TestStabilityChecks:
         )
         assert not task_is_stable(ctl, [hi])
 
-    def test_taskset_is_stable(self):
+    def test_stable_taskset_verdict(self):
         ts = TaskSet(
             [
                 Task(name="hi", period=4.0, wcet=1.0, bcet=0.5, priority=2),
@@ -111,4 +110,4 @@ class TestStabilityChecks:
                 ),
             ]
         )
-        assert taskset_is_stable(ts)
+        assert analyze_taskset(ts).stable

@@ -8,11 +8,7 @@ import pytest
 
 from repro.api import analyze
 from repro.errors import ModelError
-from repro.scenarios import (
-    drifting_request_stream,
-    scenario_request_pool,
-    scenario_request_stream,
-)
+from repro.scenarios import drifting_request_stream, scenario_request_pool
 
 pytestmark = pytest.mark.scenario
 
@@ -45,48 +41,12 @@ class TestPool:
         with pytest.raises(ModelError, match="unique"):
             scenario_request_pool(unique=0)
 
-
-class TestStream:
-    def test_stream_is_deterministic(self):
-        a = scenario_request_stream(30, unique=8, seed=7)
-        b = scenario_request_stream(30, unique=8, seed=7)
-        assert [s.canonical_sha256() for s in a] == [
-            s.canonical_sha256() for s in b
-        ]
-
-    def test_repeats_bounded_by_unique_pool(self):
-        stream = scenario_request_stream(
-            50, unique=8, repeat_fraction=0.5, seed=7
-        )
-        shas = {s.canonical_sha256() for s in stream}
-        assert len(stream) == 50
-        assert 1 < len(shas) <= 8
-
-    def test_zero_repeat_fraction_is_all_distinct(self):
-        stream = scenario_request_stream(
-            8, unique=8, repeat_fraction=0.0, seed=7
-        )
-        assert len({s.canonical_sha256() for s in stream}) == 8
-
-    def test_full_repeat_fraction_reuses_the_first_model(self):
-        stream = scenario_request_stream(
-            10, unique=8, repeat_fraction=1.0, seed=7
-        )
-        # First request is necessarily fresh; everything after repeats.
-        assert len({s.canonical_sha256() for s in stream}) == 1
-
-    def test_validation(self):
-        with pytest.raises(ModelError, match="requests"):
-            scenario_request_stream(0)
-        with pytest.raises(ModelError, match="repeat_fraction"):
-            scenario_request_stream(5, repeat_fraction=1.5)
-
     def test_models_round_trip_through_the_schema(self):
         # The benchmark ships these over HTTP as JSON model dicts; the
         # dict form must rebuild into an identically-hashed system.
         from repro.api import ControlTaskSystem
 
-        for system in scenario_request_stream(6, unique=6, seed=7):
+        for system in scenario_request_pool(unique=6, seed=7):
             rebuilt = ControlTaskSystem.from_dict(system.to_dict())
             assert rebuilt.canonical_sha256() == system.canonical_sha256()
 
@@ -125,12 +85,12 @@ class TestDriftStream:
 
 
 class TestConcurrentConsumption:
-    """Stream determinism when many threads draw and analyse at once.
+    """Draw determinism when many threads draw and analyse at once.
 
-    The serving benchmarks fan one stream out over worker threads; the
+    The daemon tests fan one pool out over client threads; the
     guarantee they rely on is that concurrent generation (same seed)
-    and concurrent analysis of a shared stream never perturb the
-    models or the per-seed draw order.
+    and concurrent analysis of shared models never perturb the models
+    or the per-seed draw order.
     """
 
     def _collect(self, build, n_threads=6):
@@ -158,7 +118,7 @@ class TestConcurrentConsumption:
         def build():
             return [
                 s.canonical_sha256()
-                for s in scenario_request_stream(12, unique=4, seed=7)
+                for s in scenario_request_pool(unique=4, seed=7)
             ]
 
         results = self._collect(build)
@@ -175,7 +135,7 @@ class TestConcurrentConsumption:
         assert all(r == results[0] for r in results)
 
     def test_shared_stream_survives_concurrent_analysis(self):
-        stream = scenario_request_stream(8, unique=4, seed=7)
+        stream = scenario_request_pool(unique=4, seed=7)
         before = [s.canonical_sha256() for s in stream]
 
         def consume():

@@ -175,7 +175,17 @@ class TestErrorHandling:
         _, client = daemon_client
         status, body = client.request_raw("GET", "/nope")
         assert status == 404
-        assert "routes" in json.loads(body)
+        assert json.loads(body)["routes"] == [
+            "GET /v1/health",
+            "GET /v1/stats",
+            "GET /v1/metrics",
+            "GET /v1/scenarios",
+            "POST /v1/analyze",
+            "POST /v1/assign[?algorithm=...]",
+            "POST /v1/detect",
+            "POST /v1/scenarios/run",
+            "POST /v1/shutdown",
+        ]
 
     def test_wrong_method_is_405(self, daemon_client):
         _, client = daemon_client
@@ -184,15 +194,14 @@ class TestErrorHandling:
 
 
 class TestCoalescingOverHttp:
-    def test_concurrent_identical_requests_coalesce(self, tmp_path, example_model):
+    def test_concurrent_identical_requests_coalesce(
+        self, monkeypatch, example_model
+    ):
         from concurrent.futures import ThreadPoolExecutor
 
-        daemon = AnalysisDaemon(
-            port=0,
-            batch_window=0.05,
-            cache_responses=False,  # force every request into the batcher
-            cache_dir=None,
-        )
+        daemon = AnalysisDaemon(port=0, batch_window=0.05, cache_dir=None)
+        # Every lookup misses, so every request reaches the batcher.
+        monkeypatch.setattr(daemon.store, "get", lambda kind, sha: None)
         thread = run_daemon_in_thread(daemon)
         client = wait_until_ready(daemon.host, daemon.port)
 
@@ -210,6 +219,35 @@ class TestCoalescingOverHttp:
         assert stats["coalesced"] >= 1
         client.shutdown()
         thread.join(timeout=10)
+
+    def test_distinct_models_batched_byte_identical(self):
+        """Distinct models sent at once share ``analyze_batch`` calls
+        (memo off, so the batched path runs) and every body is still the
+        direct façade's."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.scenarios import scenario_request_pool
+
+        systems = scenario_request_pool(unique=12, seed=21)
+        daemon = AnalysisDaemon(port=0, batch_window=0.2, memo_entries=0)
+        thread = run_daemon_in_thread(daemon)
+        client = wait_until_ready(daemon.host, daemon.port)
+        try:
+            def one(system):
+                return ServeClient(daemon.host, daemon.port).analyze_raw(
+                    system.to_dict()
+                )
+
+            with ThreadPoolExecutor(max_workers=len(systems)) as pool:
+                responses = list(pool.map(one, systems))
+            for system, (status, body) in zip(systems, responses):
+                assert status == 200
+                assert body.decode("utf-8") == analyze(system).report_json()
+            assert client.stats()["batcher"]["batches"] < len(systems)
+        finally:
+            client.shutdown()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
 
 
 class TestScenarioRoutes:
@@ -342,10 +380,8 @@ class TestTopology:
         topology = client.stats()["topology"]
         assert topology["mode"] == "serial"
         assert topology["jobs"] == 1
-        assert topology["shard_index"] is None
         assert topology["pool"] is None
 
-    @pytest.mark.loadgen
     def test_pooled_mode_byte_identical_through_daemon(
         self, tmp_path, example_model
     ):

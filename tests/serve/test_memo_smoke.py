@@ -111,6 +111,22 @@ class TestMemoSmoke:
         assert "x-repro-memo-hits" not in headers
         assert warm == cold
 
+    def test_edited_stream_byte_identical_to_cold_facade(self, memo_daemon):
+        """Near-identical traffic: every edit after the first replays
+        tasks from the memo, and every body is a cold façade call's."""
+        from repro.scenarios import edited_model_request_stream
+
+        _, client = memo_daemon
+        stream = edited_model_request_stream(8, seed=11)
+        memo_hits = 0
+        for system in stream:
+            status, headers, body = client.analyze_full(system.to_dict())
+            assert status == 200
+            assert body.decode("utf-8") == analyze(system).report_json()
+            memo_hits += int(headers.get("x-repro-memo-hits", 0))
+        assert memo_hits > 0
+        assert client.stats()["memo"]["cache_hits"] > 0
+
     def test_memo_disabled_serves_without_memo_metadata(
         self, memoless_daemon, example_model
     ):

@@ -1,12 +1,12 @@
 """Multi-process contention on a shared ``ResultStore`` disk tier.
 
-The sharded cluster points every daemon at one ``--cache-dir``, so the
-disk tier must tolerate concurrent writers on the same keys: a reader
-must only ever observe ``None`` (miss -> recompute) or a complete,
-valid body -- never a torn read -- and a corrupted entry must degrade
-to a miss even while another process is rewriting it.  These tests
-hammer real ``ResultStore`` instances from real processes, then close
-the loop at the daemon level with two daemons sharing one cache dir.
+Two daemons may share one ``--cache-dir``, so the disk tier must
+tolerate concurrent writers on the same keys: a reader must only ever
+observe ``None`` (miss -> recompute) or a complete, valid body -- never
+a torn read -- and a corrupted entry must degrade to a miss even while
+another process is rewriting it.  These tests hammer real
+``ResultStore`` instances from real processes, then close the loop at
+the daemon level with two daemons sharing one cache dir.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from repro.serve import (
     wait_until_ready,
 )
 from repro.serve.store import ResultStore
-
-pytestmark = pytest.mark.loadgen
 
 #: Bodies long enough that a torn read could not accidentally parse.
 _BODIES = {

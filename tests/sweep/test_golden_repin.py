@@ -7,14 +7,13 @@ The scalar lane runs in-process at ``jobs=1`` with every size gate out
 of reach, on a cold stability-bound table, so the record kernel and the
 scalar margin loop compute every fixed point and every margin.  The fast
 check pins a small census across lanes; the slow checks re-pin the full
-1002-set number recorded in ``BENCH_sweep.json``.
+1002-set census against :data:`CENSUS_SHA256`, the value
+``perfbench/run.py`` checks as ``CENSUS_PIN``.
 """
 
 from __future__ import annotations
 
-import json
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -23,7 +22,10 @@ from repro.jittermargin import linearbound, popmargin
 from repro.rta import popbatch
 from repro.sweep import run_sweep
 
-_REPO = Path(__file__).resolve().parents[2]
+#: ``canonical_sha256`` of the 1002-set census (334 benchmarks).
+CENSUS_SHA256 = (
+    "0040a14d7db0eb9db324612f454a2325b46cf1331d03e304795ec96e01ce3929"
+)
 
 
 def _census_sha(tmp_path, benchmarks, *, jobs=1, tag=""):
@@ -54,8 +56,7 @@ class TestCensusShaAcrossTiers:
 
     @pytest.mark.slow
     def test_full_census_matches_recorded_golden(self, tmp_path):
-        bench = json.loads((_REPO / "BENCH_sweep.json").read_text())
-        assert _census_sha(tmp_path, 334) == bench["canonical_sha256"]
+        assert _census_sha(tmp_path, 334) == CENSUS_SHA256
 
     @pytest.mark.slow
     def test_full_census_identical_across_jobs(self, tmp_path):
@@ -67,8 +68,4 @@ class TestCensusShaAcrossTiers:
     def test_full_census_forced_scalar_matches_recorded_golden(
         self, tmp_path, monkeypatch, cold_bound_table
     ):
-        bench = json.loads((_REPO / "BENCH_sweep.json").read_text())
-        assert (
-            _scalar_census_sha(tmp_path, 334, monkeypatch)
-            == bench["canonical_sha256"]
-        )
+        assert _scalar_census_sha(tmp_path, 334, monkeypatch) == CENSUS_SHA256
