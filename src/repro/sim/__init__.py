@@ -11,11 +11,12 @@ package *observes* them.  It is used to
   a control loop actually destabilising when its stability constraint is
   violated.
 
-Modules: :mod:`~repro.sim.engine` (event queue),
-:mod:`~repro.sim.workload` (execution-time models),
-:mod:`~repro.sim.fpps` (the scheduler), :mod:`~repro.sim.trace` (job
-records and response-time statistics), :mod:`~repro.sim.cosim`
-(plant-in-the-loop co-simulation).
+Modules: :mod:`~repro.sim.workload` (execution-time models),
+:mod:`~repro.sim.fpps` (the heap-driven scheduler),
+:mod:`~repro.sim.trace` (job records and response-time statistics),
+:mod:`~repro.sim.cosim` (plant-in-the-loop co-simulation),
+:mod:`~repro.sim.reference` (the zero-jitter discrete-time reference
+loop).
 """
 
 from repro.sim.fpps import simulate_fpps

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.errors import DimensionError
-from repro.linalg.expm import expm
+from repro.linalg.expm import _expm_branch, expm, expm_stack
 
 
 class TestExpmBasics:
@@ -106,3 +106,53 @@ class TestExpmProperties:
         # det(e^A) = e^{tr A} (Jacobi's formula).
         det = np.linalg.det(expm(a))
         assert np.isclose(det, np.exp(np.trace(a)), rtol=1e-6)
+
+
+def _mixed_stack(rng):
+    """Matrices of shapes 2-7 on every Pade branch, plus Van Loan blocks.
+
+    Each random matrix is scaled to a target 1-norm: 0.01, 0.2, 0.8 and 1.8
+    land on orders 3, 5, 7 and 9; 4, 20 and 300 on order 13 with 0, 2
+    and 6 squarings.  Eigenvalues stay below 300 in modulus, so every
+    exponential is finite.  The co-simulation embeddings
+    ``[[A, B], [0, 0]] * dt`` of every library plant follow, then a 1x1
+    matrix; the stack comes back shuffled.
+    """
+    from repro.control.plants import PLANT_LIBRARY
+
+    matrices = []
+    for n in range(2, 8):
+        for norm in (0.01, 0.2, 0.8, 1.8, 4.0, 20.0, 300.0):
+            a = rng.standard_normal((n, n))
+            matrices.append(a * (norm / np.linalg.norm(a, 1)))
+    for plant in PLANT_LIBRARY.values():
+        system = plant.state_space()
+        n, m = system.n_states, system.n_inputs
+        block = np.zeros((n + m, n + m))
+        block[:n, :n] = system.a
+        block[:n, n:] = system.b
+        for dt in rng.uniform(1e-5, 0.2, size=4):
+            matrices.append(block * dt)
+    matrices.append(np.array([[-0.7]]))
+    return [matrices[i] for i in rng.permutation(len(matrices))]
+
+
+class TestExpmStack:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_slices_bit_identical_to_expm(self, seed):
+        matrices = _mixed_stack(np.random.default_rng(seed))
+        branches = {
+            _expm_branch(a, np.linalg.norm(a, 1)) for a in matrices if a.shape[0] > 1
+        }
+        assert {3, 5, 7, 9, 13} <= {order for order, _ in branches}
+        assert max(squarings for _, squarings in branches) >= 1
+        stacked = expm_stack(matrices)
+        assert len(stacked) == len(matrices)
+        for a, got in zip(matrices, stacked):
+            want = expm(a)
+            assert np.isfinite(want).all()
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_empty_stack(self):
+        assert expm_stack([]) == []

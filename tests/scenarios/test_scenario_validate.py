@@ -97,6 +97,23 @@ class TestHarness:
             sweep_spec(scenario="nope")
 
 
+class TestScenarioPins:
+    """Report shas pinned at v3.0.0: any change to the simulated schedule,
+    the co-simulated trajectories or the analysis moves them."""
+
+    PINS = {
+        "benchmark_baseline": "473f158b93bb281b0bd7651d8457d204c30b174fd5207de3bc347befc380a56c",
+        "dropped_actuations": "d456fba433e62d9904e1f200214f410246863242d39fbd4d470aecfbeeebf200",
+        "interferer_clock_drift": "4e7c7f0100041589e33e387cb44ba6f1daf011c63f26130528dbb91e85738751",
+        "transient_overload": "0c3b838097b9228ab58fac80a29c81469e069c5dd86435723392cd13e898797e",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_report_sha_is_pinned(self, name):
+        validation = validate_scenario(name, instances=2, horizon_periods=40)
+        assert validation.canonical_sha256 == self.PINS[name]
+
+
 @pytest.mark.sweep
 class TestDeterminismAcrossJobs:
     def test_report_byte_identical_jobs_1_vs_2(self):
@@ -113,6 +130,25 @@ class TestDeterminismAcrossJobs:
 class TestRegistrySweep:
     """Full-lane acceptance: every registered scenario validates clean."""
 
+    #: Report shas of the whole registry at ``instances=6,
+    #: horizon_periods=60`` (seed 7), pinned at v3.0.0.
+    REGISTRY_PINS = {
+        "benchmark_baseline": "7167c09da3f2cd9fff3871d0de6ee8f3a57b3b979a446554b799e6513150cca8",
+        "bursty_interference": "21d6d002ad00872bff7a3d14b33b091ad78ebca881958b245084e13773ecbf71",
+        "deep_violation": "16c954c412b7353cf36fefbd708224a05b7933f67b50dfc740f6bc0219571289",
+        "dropped_actuations": "8a9a6902f3e300005ddfb3004c50327a3fc18e7e84c2d4a87fd2275c89d07fef",
+        "interferer_clock_drift": "7206f7a30492d0d6b7573feec26a75cf330501b7db2f6c237a27c224ed34b41c",
+        "paper_priority_raise": "c7da2a2ab5e82bf5f26e84cb7f637f6d462b239120092344bd6d07653fb8ee74",
+        "paper_priority_raise_searched": "0206b30cfa65fd36f3af8fa813dcbb4cfa5b43863469e200985e959de616deee",
+        "priority_raise_random": "013d1c7f199c35d4d39ea46d3c9867a75215530cb73da0f8e521f87f8fb0d18d",
+        "rate_monotonic_blind": "c5c698407fd1f60ca520a38388cce04ff925c7cb5e54d8f3d80a409cbb5373da",
+        "searched_audsley": "22e0ac4c3e0e0d6d1c0e6c75daa6cb7eb90241cdc0e8639d3dd06ffe08e927fb",
+        "searched_unsafe_quadratic": "16e5ca9ebdb88fdde3d11f531d6bd635d4a9c8c3448cd865983a4311066a2588",
+        "smoke_single_loop": "ce9d16bfac1d50acbfed3d9c554bfc4dbef679e06c92d445c4700e7a06018d62",
+        "transient_overload": "51c4490e4ea0385552ff2e71761b3a276be777d07759faed7952273f6e82ae1e",
+        "wcet_inflation": "ad092115758e951de5e36c090af2694f37d9920d08bec13b313a685fd28d4523",
+    }
+
     def test_whole_registry_validates(self):
         from repro.scenarios import scenario_names, validate_registry
 
@@ -122,6 +158,9 @@ class TestRegistrySweep:
             assert validation.ok, (
                 f"{name} failed: {validation.failures}"
             )
+        assert {
+            name: validation.canonical_sha256 for name, validation in reports.items()
+        } == self.REGISTRY_PINS
 
     def test_deep_violation_and_smoke_disagree_cells(self):
         deep = validate_scenario("deep_violation", instances=2)

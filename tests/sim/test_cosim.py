@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from repro.control.plants import get_plant
 from repro.errors import ModelError
 from repro.rta.taskset import Task, TaskSet
 from repro.sim.cosim import cosimulate_control_task
-from repro.sim.workload import ConstantExecution, WorstCaseExecution
+from repro.sim.workload import UniformExecution, WorstCaseExecution
 
 
 @pytest.fixture
@@ -87,3 +89,34 @@ class TestCosimBasics:
         ts = TaskSet([Task(name="ctl", period=h, wcet=1e-4, priority=1)])
         with pytest.raises(ModelError):
             cosimulate_control_task(ts, "ctl", plant, design, 1.0, x0=[1.0])
+
+
+class TestCosimGolden:
+    #: sha256 over the five trajectory arrays (name, shape, raw bytes) of
+    #: the jittery servo loop below, recorded with the per-interval
+    #: ``expm`` stepping of v3.0.0.
+    GOLDEN = "657239e411ed01ca4a96ddd58d8534ea112649a313fd75a220dbaab4afe72288"
+
+    def test_jittery_servo_loop_arrays_are_pinned(self, servo_setup):
+        plant, design, h = servo_setup
+        # A hog with uniformly drawn execution times preempts the control
+        # task, so the plant intervals between events all differ.
+        ts = TaskSet(
+            [
+                Task(name="hog", period=0.004, wcet=0.0015, bcet=0.0002, priority=2),
+                Task(name="ctl", period=h, wcet=5e-4, bcet=1e-4, priority=1),
+            ]
+        )
+        result = cosimulate_control_task(
+            ts, "ctl", plant, design, 1.2,
+            execution_model=UniformExecution(), x0=[0.01, 0.0], seed=3,
+        )
+        assert result.sample_times.size == result.actuation_times.size == 200
+        digest = hashlib.sha256()
+        for field in (
+            "sample_times", "actuation_times", "outputs", "controls", "state_norms"
+        ):
+            array = getattr(result, field)
+            digest.update(f"{field}{array.shape}".encode())
+            digest.update(array.tobytes())
+        assert digest.hexdigest() == self.GOLDEN

@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ModelError
 from repro.rta.taskset import Task, TaskSet
 from repro.sim.fpps import simulate_fpps
-from repro.sim.workload import BestCaseExecution, WorstCaseExecution
+from repro.sim.workload import (
+    BestCaseExecution,
+    BurstyExecution,
+    OverloadWindow,
+    UniformExecution,
+    WorstCaseExecution,
+    per_task_execution,
+)
+from tests.sim._scan_fpps import simulate_fpps as scan_simulate_fpps
 
 
 class TestBasicScheduling:
@@ -81,8 +90,94 @@ class TestExecutionModels:
         assert best.busy_time() < worst.busy_time()
 
     def test_deterministic_given_seed(self, three_task_set):
-        from repro.sim.workload import UniformExecution
-
         t1 = simulate_fpps(three_task_set, 32.0, execution_model=UniformExecution(), seed=5)
         t2 = simulate_fpps(three_task_set, 32.0, execution_model=UniformExecution(), seed=5)
         assert [j.finish for j in t1.records] == [j.finish for j in t2.records]
+
+
+# -- the scan-based reference as an oracle ------------------------------------
+
+
+def _near(values):
+    """The values, each also nudged by less than the scheduler's _TIME_EPS."""
+    return st.sampled_from(
+        [v + d for v in values for d in (0.0, 1e-13, -1e-13, 5e-13)]
+    )
+
+
+def _execution_models(names):
+    base = st.one_of(
+        st.just(WorstCaseExecution()),
+        st.just(BestCaseExecution()),
+        st.just(UniformExecution()),
+        st.builds(
+            BurstyExecution,
+            burst_every=st.integers(1, 4),
+            phase=st.integers(0, 3),
+        ),
+    )
+    overload = st.builds(
+        OverloadWindow,
+        base=base,
+        task_name=st.sampled_from(names),
+        factor=st.floats(0.5, 3.0),
+        start_job=st.integers(0, 3),
+        n_jobs=st.integers(1, 3),
+    )
+    per_task = st.builds(
+        per_task_execution,
+        st.dictionaries(st.sampled_from(names), base, max_size=len(names)),
+        default=base,
+    )
+    return st.one_of(base, overload, per_task)
+
+
+@st.composite
+def _scheduling_problems(draw):
+    n = draw(st.integers(1, 6))
+    names = [f"t{k}" for k in range(n)]
+    priorities = draw(st.permutations(range(1, n + 1)))
+    tasks = []
+    for name, priority in zip(names, priorities):
+        period = draw(_near([0.5, 1.0, 1.5, 2.0, 2.5]))
+        # Shares up to 0.6 each: six tasks reach utilisation 3.6.
+        wcet = draw(st.floats(0.02, 0.6)) * period
+        bcet = wcet * draw(st.floats(0.1, 1.0))
+        tasks.append(
+            Task(name=name, period=period, wcet=wcet, bcet=bcet, priority=priority)
+        )
+    offsets = draw(
+        st.none()
+        | st.dictionaries(
+            st.sampled_from(names),
+            _near([-0.6, 0.0, 0.25, 0.5, 1.0]),
+        )
+    )
+    # Horizons off and on period multiples cut jobs short mid-execution.
+    duration = draw(st.floats(0.2, 8.0) | _near([1.0, 2.0, 5.0]))
+    return (
+        TaskSet(tasks),
+        duration,
+        draw(_execution_models(names)),
+        offsets,
+        draw(st.integers(0, 2**16)),
+    )
+
+
+def _fields(trace):
+    return [
+        (r.task_name, r.job_index, r.release, r.execution_time, r.start, r.finish)
+        for r in trace.records
+    ]
+
+
+class TestAgainstScanReference:
+    @settings(max_examples=300)
+    @given(_scheduling_problems())
+    def test_traces_match_record_for_record(self, problem):
+        taskset, duration, model, offsets, seed = problem
+        kwargs = dict(execution_model=model, offsets=offsets, seed=seed)
+        got = simulate_fpps(taskset, duration, **kwargs)
+        want = scan_simulate_fpps(taskset, duration, **kwargs)
+        assert got.duration == want.duration
+        assert _fields(got) == _fields(want)
