@@ -233,7 +233,6 @@ def assign(
     algorithm: Optional[str] = None,
     name: str = "system",
     memo: Optional[AnalysisMemo] = None,
-    context: Optional[AnalysisMemo] = None,
     validation_memo: Optional[AnalysisMemo] = None,
     **options,
 ) -> AssignmentOutcome:
@@ -254,8 +253,7 @@ def assign(
     record); callers that need outcomes byte-identical to cold calls but
     still want incremental *validation* pass ``validation_memo`` instead,
     which routes only the post-search :func:`analyze` (the serve daemon's
-    mode).  ``context`` is the pre-1.4 spelling of ``memo``, kept for
-    compatibility.  ``options`` pass through to the strategy (e.g.
+    mode).  ``options`` pass through to the strategy (e.g.
     ``max_evaluations``).
     """
     system = as_system(system, name=name)
@@ -269,12 +267,6 @@ def assign(
         raise ModelError(
             f"unknown assignment algorithm {algorithm!r}; "
             f"known: {sorted(STRATEGIES)}"
-        )
-    if memo is None:
-        memo = context
-    elif context is not None and context is not memo:
-        raise ModelError(
-            "pass either memo= or its pre-1.4 alias context=, not both"
         )
     if memo is not None and validation_memo is not None:
         raise ModelError(
@@ -359,7 +351,7 @@ def assign_batch(
 
     Outcomes come back in input order, byte-identical in canonical form
     across every ``jobs`` level (each worker call builds its own search
-    context, so memoisation never leaks across items -- determinism
+    memo, so memoisation never leaks across items -- determinism
     before thrift).  A single-worker run without a cache directory skips
     the engine, like :func:`analyze_batch`.
 

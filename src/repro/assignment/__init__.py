@@ -25,7 +25,7 @@ performed, the currency in which the paper measures design complexity.
 
 Since the ``repro.search`` refactor the algorithms are strategies of the
 unified search engine: every entry point accepts an optional
-``context=`` (:class:`repro.memo.AnalysisMemo`) that shares the
+``memo=`` (:class:`repro.memo.AnalysisMemo`) that shares the
 memoised ``(task, hp-set)`` subproblem cache -- and the batched sibling
 kernels -- across runs, while the reported evaluation counts stay exactly
 the paper's logical metric.

@@ -25,7 +25,7 @@ from repro.search.result import AssignmentResult
 
 
 def assign_audsley(
-    taskset: TaskSet, *, context: Optional[AnalysisMemo] = None
+    taskset: TaskSet, *, memo: Optional[AnalysisMemo] = None
 ) -> AssignmentResult:
     """OPA with max-slack tie-breaking; fails cleanly at dead ends."""
-    return run_strategy("audsley", taskset, context=context)
+    return run_strategy("audsley", taskset, memo=memo)

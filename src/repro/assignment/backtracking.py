@@ -38,7 +38,7 @@ def assign_backtracking(
     taskset: TaskSet,
     *,
     max_evaluations: int = 10_000_000,
-    context: Optional[AnalysisMemo] = None,
+    memo: Optional[AnalysisMemo] = None,
 ) -> AssignmentResult:
     """Run Algorithm 1 and return the discovered assignment.
 
@@ -48,6 +48,6 @@ def assign_backtracking(
     return run_strategy(
         "backtracking",
         taskset,
-        context=context,
+        memo=memo,
         max_evaluations=max_evaluations,
     )

@@ -9,7 +9,7 @@ measure how constrained an instance really is.
 
 Implemented as the ``"exhaustive"`` strategy of :mod:`repro.search`.  The
 permutation tree revisits each ``(task, hp-set)`` subproblem up to
-``|hp|!`` times; on the engine those repeats come from the context memo
+``|hp|!`` times; on the engine those repeats come from the memo
 (the logical evaluation count stays exactly the paper's).
 """
 
@@ -29,19 +29,19 @@ from repro.search.strategies import _order_is_valid, check_exhaustive_size
 
 
 def assign_exhaustive(
-    taskset: TaskSet, *, context: Optional[AnalysisMemo] = None
+    taskset: TaskSet, *, memo: Optional[AnalysisMemo] = None
 ) -> AssignmentResult:
     """Try lexicographic priority orders until one is valid."""
-    return run_strategy("exhaustive", taskset, context=context)
+    return run_strategy("exhaustive", taskset, memo=memo)
 
 
 def count_valid_orders(
-    taskset: TaskSet, *, context: Optional[AnalysisMemo] = None
+    taskset: TaskSet, *, memo: Optional[AnalysisMemo] = None
 ) -> int:
     """Number of valid priority orders (exact, small ``n`` only)."""
     check_exhaustive_size(len(taskset), "count_valid_orders")
-    run = (context if context is not None else AnalysisMemo()).run()
-    ids = run.context.intern_all(taskset)
+    run = (memo if memo is not None else AnalysisMemo()).run()
+    ids = run.memo.intern_all(taskset)
     return sum(
         1 for order in itertools.permutations(ids) if _order_is_valid(order, run)
     )

@@ -25,14 +25,14 @@ from repro.search.result import AssignmentResult
 
 
 def assign_rate_monotonic(
-    taskset: TaskSet, *, context: Optional[AnalysisMemo] = None
+    taskset: TaskSet, *, memo: Optional[AnalysisMemo] = None
 ) -> AssignmentResult:
     """Shorter period -> higher priority; performs no constraint checks."""
-    return run_strategy("rate_monotonic", taskset, context=context)
+    return run_strategy("rate_monotonic", taskset, memo=memo)
 
 
 def assign_slack_monotonic(
-    taskset: TaskSet, *, context: Optional[AnalysisMemo] = None
+    taskset: TaskSet, *, memo: Optional[AnalysisMemo] = None
 ) -> AssignmentResult:
     """Order by slack under the all-others-higher-priority assumption."""
-    return run_strategy("slack_monotonic", taskset, context=context)
+    return run_strategy("slack_monotonic", taskset, memo=memo)

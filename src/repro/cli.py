@@ -403,12 +403,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="emit structured JSON-lines logs instead of text",
     )
     serve.add_argument(
-        "--no-obs",
-        action="store_true",
-        help="disable the telemetry layer (metrics stay minimal, "
-        "no tracing spans, no report window, no detectors)",
-    )
-    serve.add_argument(
         "--obs-window",
         type=int,
         default=2048,
@@ -821,10 +815,9 @@ def _run_analyze_command(args: argparse.Namespace) -> int:
 
 
 def _run_serve_command(args: argparse.Namespace) -> int:
-    from repro.obs.logs import configure_serve_logging
+    from repro.obs.logs import configure_serve_logging, serve_logger
     from repro.serve import AnalysisDaemon
 
-    configure_serve_logging(args.log_level, json_mode=args.log_json)
     daemon = AnalysisDaemon(
         host=args.host,
         port=args.port,
@@ -834,7 +827,6 @@ def _run_serve_command(args: argparse.Namespace) -> int:
         max_batch=args.max_batch,
         store_entries=args.store_entries,
         memo_entries=args.memo_entries,
-        obs=not args.no_obs,
         obs_window=args.obs_window,
         event_log=args.event_log,
         detect_interval=args.detect_interval,
@@ -859,7 +851,21 @@ def _run_serve_command(args: argparse.Namespace) -> int:
             )
 
     threading.Thread(target=announce, daemon=True).start()
-    daemon.run()
+    # The daemon logs through the process-global ``repro.serve`` logger;
+    # an in-process caller gets it back as it was once the daemon stops.
+    logger = serve_logger()
+    handlers = list(logger.handlers)
+    level, propagate = logger.level, logger.propagate
+    configure_serve_logging(args.log_level, json_mode=args.log_json)
+    try:
+        daemon.run()
+    finally:
+        for handler in list(logger.handlers):
+            logger.removeHandler(handler)
+        for handler in handlers:
+            logger.addHandler(handler)
+        logger.setLevel(level)
+        logger.propagate = propagate
     return 0
 
 

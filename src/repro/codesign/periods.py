@@ -255,7 +255,7 @@ def assign_periods(
                         for loop, c in zip(loops, candidates)
                     ]
                 )
-                result = assign_backtracking(tasks, context=search_memo)
+                result = assign_backtracking(tasks, memo=search_memo)
                 evaluations += result.evaluations
                 cache_hits += result.cache_hits
                 if result.priorities is not None:

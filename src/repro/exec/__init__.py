@@ -3,15 +3,15 @@
 Every parallel call site in the codebase -- the sweep chunk executor,
 ``analyze_batch``/``assign_batch``, scenario Monte-Carlo validation, the
 search census suites, the experiments runner, and the serve daemon's
-:class:`~repro.serve.batcher.MicroBatcher` -- describes its work as an
+model batches under ``--jobs N`` -- describes its work as an
 :class:`~repro.exec.plan.ExecutionPlan` and hands it to a backend:
 
 * :class:`~repro.exec.backends.SerialBackend` -- in-process, with a
   backend-lifetime ambient :class:`~repro.memo.AnalysisMemo`;
 * :class:`~repro.exec.backends.PoolBackend` -- a persistent process
   pool with eager pre-fork, worker-lifetime memos installed by the pool
-  initializer, crash containment with in-process failover + pool
-  rebuild, and contiguous order-preserving slices for serving batches.
+  initializer, and crash containment with in-process failover + pool
+  rebuild.
 
 Shared guarantees, identical under every backend: results keyed and
 returned in call order (canonical JSON byte-identity across ``--jobs``),
@@ -41,9 +41,6 @@ _EXPORTS = {
     "SerialBackend": "repro.exec.backends",
     "backend_for_jobs": "repro.exec.backends",
     "shutdown_default_backends": "repro.exec.backends",
-    "PoolResult": "repro.exec.facade",
-    "compute_one": "repro.exec.facade",
-    "facade_slice": "repro.exec.facade",
     "single_thread_executor": "repro.exec.threads",
 }
 

@@ -5,8 +5,7 @@ through the same worker shim (:func:`~repro.exec.workerenv.invoke`), so
 timing and worker-lifetime memo accounting are identical wherever a
 plan runs.  The pool backend adds eager pre-fork, a worker-lifetime
 :class:`~repro.memo.AnalysisMemo` installed by the pool initializer,
-contiguous order-preserving slices for serving batches, and crash
-containment -- a worker dying mid-plan (OOM killer, segfault
+and crash containment -- a worker dying mid-plan (OOM killer, segfault
 in a native kernel) breaks the whole ``concurrent.futures`` pool, so
 affected calls **fail over to in-process recomputation**, the pool is
 rebuilt, and the event is counted (``worker_crashes``,
@@ -34,7 +33,6 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.exec.facade import PoolResult, facade_slice
 from repro.exec.jobs import ExecError, resolve_jobs
 from repro.exec.metrics import ExecInstruments, instruments
 from repro.exec.plan import ExecutionPlan, TaskFailed
@@ -163,9 +161,7 @@ class PoolBackend(_Backend):
     ``run``/``run_iter`` dispatch plan calls one-per-future and yield
     outcomes as they complete (callers that cache incrementally -- the
     sweep executor -- persist finished work even if a later call
-    fails); ``compute`` is the serving entry point, slicing a payload
-    batch into contiguous per-worker facade calls and re-concatenating
-    in submission order.
+    fails).
     """
 
     kind = "pool"
@@ -304,40 +300,6 @@ class PoolBackend(_Backend):
             },
         )
         self._rebuild_pool()
-
-    # -- serving entry point -------------------------------------------------
-    def compute(
-        self, group: Tuple[str, ...], payloads: List[Any]
-    ) -> List[PoolResult]:
-        """One serving batch: slice across workers, gather in order.
-
-        Facade calls never raise (poisoned payloads come back as error
-        bodies), so the only failure mode here is a pool crash -- which
-        fails over in-process per slice.
-        """
-        slices = self._slice(payloads)
-        plan = ExecutionPlan(
-            name="serve",
-            fn=facade_slice,
-            calls=tuple((group, part) for part in slices),
-            weights=tuple(len(part) for part in slices),
-        )
-        parts = self.run(plan)
-        return [result for part in parts for result in part]
-
-    def _slice(self, payloads: List[Any]) -> List[List[Any]]:
-        """Contiguous slices, one per worker, preserving payload order."""
-        n = len(payloads)
-        parts = min(self.workers, n)
-        if parts <= 1:
-            return [list(payloads)]
-        base, extra = divmod(n, parts)
-        slices, start = [], 0
-        for k in range(parts):
-            size = base + (1 if k < extra else 0)
-            slices.append(list(payloads[start : start + size]))
-            start += size
-        return slices
 
     def stats(self) -> Dict[str, Any]:
         snapshot = super().stats()

@@ -167,8 +167,9 @@ def expm_stack(matrices) -> list:
     the solve, and the squaring chain as stacked ``(k, n, n)`` array
     operations.  Batched matmul and batched solve are slice-exact, so
     every returned exponential is **bit-identical** to ``expm`` of the
-    same matrix -- the property the population discretisation kernel
-    (:func:`repro.lti.discretize.c2d_zoh_delay_population`) relies on.
+    same matrix -- the property the stacked discretisations
+    (:func:`repro.lti.discretize.c2d_zoh_delay_stacks`) and the
+    co-simulation (:mod:`repro.sim.cosim`) rely on.
 
     The population discretisations this serves stack dozens-to-hundreds
     of small Van Loan embeddings per call; one batched LAPACK/BLAS pass

@@ -23,12 +23,7 @@ from repro.lti.analysis import (
     poles,
     spectral_radius,
 )
-from repro.lti.discretize import (
-    c2d_zoh,
-    c2d_zoh_delay,
-    c2d_zoh_delay_population,
-)
-from repro.lti.popfreq import pencil_response, stacked_frequency_response
+from repro.lti.discretize import c2d_zoh, c2d_zoh_delay
 from repro.lti.statespace import StateSpace
 from repro.lti.transferfunction import TransferFunction
 
@@ -37,9 +32,6 @@ __all__ = [
     "TransferFunction",
     "c2d_zoh",
     "c2d_zoh_delay",
-    "c2d_zoh_delay_population",
-    "pencil_response",
-    "stacked_frequency_response",
     "poles",
     "spectral_radius",
     "is_schur_stable",

@@ -107,106 +107,6 @@ def c2d_zoh_delay(system: StateSpace, h: float, delay: float) -> StateSpace:
     return StateSpace(a_aug, b_aug, c_aug, dt=h)
 
 
-def c2d_zoh_delay_population(
-    system: StateSpace, h: float, delays
-) -> list:
-    """Discretise one plant at *many* input delays in one batched pass.
-
-    Bit-identical to ``[c2d_zoh_delay(system, h, d) for d in delays]``:
-    the per-delay augmentation is the same code path, but every matrix
-    exponential the population needs -- ``e^{[A B; 0 0] t}`` and
-    ``e^{A t}`` at the distinct interval lengths ``t`` the delays induce
-    -- is deduplicated and computed through one :func:`expm_stack` call.
-    A 41-latency stability-curve sweep pays ~3 unique exponentials per
-    latency when evaluated serially; here the shared ``e^{[A B; 0 0] h}``
-    is computed once and the rest ride one batched Pade pass, which is
-    where the population curve kernel gets its discretisation speedup.
-    """
-    if system.is_discrete:
-        raise ModelError("c2d_zoh_delay expects a continuous-time system")
-    if h <= 0:
-        raise ModelError(f"sampling period must be positive, got {h}")
-    delays = [float(d) for d in delays]
-    for delay in delays:
-        if delay < 0:
-            raise ModelError(f"delay must be non-negative, got {delay}")
-    if system.d.size and np.any(system.d != 0.0):
-        raise ModelError("plants with direct feed-through are not supported")
-
-    a, b = system.a, system.b
-    n, m = system.n_states, system.n_inputs
-    block = np.zeros((n + m, n + m))
-    block[:n, :n] = a
-    block[:n, n:] = b
-
-    # Split every delay into (d_steps, tau'), gather the distinct
-    # exponential arguments, and evaluate them in one stacked call.
-    splits = []
-    block_times = set()
-    a_times = set()
-    for delay in delays:
-        if delay == 0.0:
-            splits.append(None)
-            block_times.add(h)
-            continue
-        d_steps = max(1, math.ceil(delay / h - 1e-12))
-        tau_prime = delay - (d_steps - 1) * h
-        if tau_prime <= 0.0:  # numerical guard when delay is an exact multiple
-            tau_prime = h
-        splits.append((d_steps, tau_prime))
-        block_times.add(h)
-        if h - tau_prime != 0.0:
-            block_times.add(h - tau_prime)
-        block_times.add(tau_prime)
-        a_times.add(h - tau_prime)
-    block_times = sorted(block_times)
-    a_times = sorted(a_times)
-    exponentials = expm_stack(
-        [block * t for t in block_times] + [a * t for t in a_times]
-    )
-    big = dict(zip(block_times, exponentials[: len(block_times)]))
-    phi_tails = dict(zip(a_times, exponentials[len(block_times) :]))
-
-    def phi_gamma(t: float):
-        if t == 0.0:
-            return np.eye(n), np.zeros((n, m))
-        matrix = big[t]
-        return matrix[:n, :n], matrix[:n, n:]
-
-    systems = []
-    phi, gamma_zero = phi_gamma(h)
-    for delay, split in zip(delays, splits):
-        if split is None:
-            systems.append(StateSpace(phi, gamma_zero, system.c, system.d, dt=h))
-            continue
-        d_steps, tau_prime = split
-        _, gamma_tail = phi_gamma(h - tau_prime)
-        phi_tail = phi_tails[h - tau_prime]
-        _, gamma_head = phi_gamma(tau_prime)
-        gamma0 = gamma_tail
-        gamma1 = phi_tail @ gamma_head
-
-        size = n + d_steps * m
-        a_aug = np.zeros((size, size))
-        b_aug = np.zeros((size, m))
-        a_aug[:n, :n] = phi
-        a_aug[:n, n : n + m] = gamma1
-        if d_steps >= 2:
-            a_aug[:n, n + m : n + 2 * m] = gamma0
-            for j in range(d_steps - 1):
-                a_aug[
-                    n + j * m : n + (j + 1) * m,
-                    n + (j + 1) * m : n + (j + 2) * m,
-                ] = np.eye(m)
-            b_aug[n + (d_steps - 1) * m :, :] = np.eye(m)
-        else:
-            b_aug[:n, :] = gamma0
-            b_aug[n:, :] = np.eye(m)
-        c_aug = np.hstack([system.c, np.zeros((system.n_outputs, d_steps * m))])
-        systems.append(StateSpace(a_aug, b_aug, c_aug, dt=h))
-    return systems
-
-
 def c2d_zoh_delay_stacks(
     system: StateSpace, h: float, delays
 ) -> dict:
@@ -217,10 +117,10 @@ def c2d_zoh_delay_stacks(
     inputs (0 for delay-free entries) and the arrays stack the group's
     augmented matrices, slice ``j`` bit-identical to the matrices of
     ``c2d_zoh_delay(system, h, delays[indices[j]])``: the deduplicated
-    exponentials come from the same :func:`expm_stack` pass as
-    :func:`c2d_zoh_delay_population`, every block placement is a pure
-    copy, and the only arithmetic -- ``phi_tail @ gamma_head`` -- runs as
-    a slice-exact batched matmul.  The population margin kernel consumes
+    exponentials come from one :func:`expm_stack` pass, every block
+    placement is a pure copy, and the only arithmetic -- ``phi_tail @
+    gamma_head`` -- runs as a slice-exact batched matmul.  The
+    population margin kernel consumes
     these stacks directly, skipping the per-delay ``StateSpace``
     round-trip entirely.
     """

@@ -362,22 +362,14 @@ class AnalysisMemo:
 
 @dataclass
 class MemoRun:
-    """One analysis/strategy run on a memo: own counter, shared memo.
+    """One analysis/strategy run on a memo: own counter, shared memo."""
 
-    The attribute is named ``context`` for compatibility with the search
-    engine's pre-1.4 vocabulary; ``memo`` aliases it.
-    """
-
-    context: AnalysisMemo
+    memo: AnalysisMemo
     counter: EvaluationCounter = field(default_factory=EvaluationCounter)
-
-    @property
-    def memo(self) -> AnalysisMemo:
-        return self.context
 
     def slack_ids(self, tid: int, hp_ids: Sequence[int]) -> float:
         """Stability slack of one candidate against an explicit hp id list."""
-        return self.context._entry(
+        return self.memo._entry(
             tid, hp_ids, frozenset(hp_ids), self.counter
         )[2]
 
@@ -393,7 +385,7 @@ class MemoRun:
         either path).
         """
         ids = list(ids)
-        entries = self.context._entries(
+        entries = self.memo._entries(
             ids,
             [ids[:i] + ids[i + 1 :] for i in range(len(ids))],
             self.counter,
@@ -404,16 +396,16 @@ class MemoRun:
         self, tid: int, hp_ids: Sequence[int]
     ) -> Tuple[float, float]:
         """``(best, worst)`` response times of one subproblem (memoised)."""
-        entry = self.context._entry(
+        entry = self.memo._entry(
             tid, hp_ids, frozenset(hp_ids), self.counter
         )
         return entry[0], entry[1]
 
     def slack(self, task: Task, higher_priority: Sequence[Task]) -> float:
         """Task-object convenience wrapper over :meth:`slack_ids`."""
-        context = self.context
+        memo = self.memo
         return self.slack_ids(
-            context.intern(task), context.intern_all(higher_priority)
+            memo.intern(task), memo.intern_all(higher_priority)
         )
 
     def count_external(self) -> None:
@@ -426,5 +418,5 @@ class MemoRun:
         uniform, but nothing is memoised.
         """
         self.counter.count += 1
-        with self.context._lock:
-            self.context.total.count += 1
+        with self.memo._lock:
+            self.memo.total.count += 1

@@ -20,9 +20,8 @@ The observability layer of the serving stack (ROADMAP item 5):
 * :mod:`repro.obs.logs` -- structured stderr logging for
   ``python -m repro serve``.
 
-Instrumentation is zero-cost-when-disabled and strictly out-of-band:
-response bodies stay byte-identical to direct facade calls whether the
-layer is on or off.
+Instrumentation is always on and strictly out-of-band: response bodies
+stay byte-identical to direct facade calls.
 """
 
 from repro.obs.core import Observability

@@ -2,10 +2,8 @@
 
 :class:`Observability` is what the daemon actually holds: one object
 owning the metric instruments, the rolling report window, and the
-optional JSON-lines event log, with an ``enabled`` switch that makes
-every per-request hook an early-return no-op (the
-zero-cost-when-disabled contract -- with ``enabled=False`` the serving
-hot path pays one ``if`` per hook and allocates nothing).
+optional JSON-lines event log.  Telemetry is always on; it never
+touches a response body.
 
 Each daemon gets its *own* :class:`~repro.obs.metrics.MetricsRegistry`
 so concurrent daemons in one process (tests, benches) never share
@@ -34,12 +32,10 @@ class Observability:
     def __init__(
         self,
         *,
-        enabled: bool = True,
         window_entries: int = 2048,
         model_entries: int = 512,
         event_log_path: Optional[str] = None,
     ):
-        self.enabled = enabled
         self.registry = MetricsRegistry()
         self.window = ReportWindow(
             max_entries=window_entries, model_entries=model_entries
@@ -83,23 +79,18 @@ class Observability:
         )
 
     # -- request lifecycle ---------------------------------------------------
-    def request_started(self, endpoint: str) -> Optional[RequestTrace]:
-        """Open a request: in-flight gauge + trace (None when disabled)."""
-        if not self.enabled:
-            return None
+    def request_started(self, endpoint: str) -> RequestTrace:
+        """Open a request: in-flight gauge + trace."""
         self._in_flight.inc_key(())
         return RequestTrace(endpoint)
 
     def trace_id_for(self, trace: Optional[RequestTrace]) -> str:
-        """The id to surface in ``X-Repro-Trace-Id`` (always present)."""
+        """The id to surface in ``X-Repro-Trace-Id``; a fresh one for a
+        request that failed before routing (no trace)."""
         return trace.trace_id if trace is not None else next_trace_id()
 
     def request_finished(
-        self,
-        endpoint: str,
-        status: int,
-        trace: Optional[RequestTrace],
-        seconds: Optional[float] = None,
+        self, endpoint: str, status: int, trace: RequestTrace
     ) -> None:
         # Pre-resolved label keys throughout: this runs on every served
         # request, so skip the kwargs/label-schema machinery.
@@ -107,25 +98,13 @@ class Observability:
         self._requests.inc_key(key)
         if status >= 400:
             self._errors.inc_key(key)
-        if not self.enabled:
-            return
         self._in_flight.inc_key((), -1.0)
-        if trace is not None:
-            trace.finish(status)
-            elapsed = trace.duration_seconds
-        else:
-            elapsed = seconds
-        if elapsed is not None:
-            self._latency.observe_key(key, elapsed)
-        if trace is not None:
-            for span in trace.spans:
-                self._stages.observe_key((span["stage"],), span["seconds"])
-            if self.event_log is not None:
-                self.event_log.emit_trace(trace)
-
-    def observe_stage(self, stage: str, seconds: float) -> None:
-        if self.enabled:
-            self._stages.observe(seconds, stage=stage)
+        trace.finish(status)
+        self._latency.observe_key(key, trace.duration_seconds)
+        for span in trace.spans:
+            self._stages.observe_key((span["stage"],), span["seconds"])
+        if self.event_log is not None:
+            self.event_log.emit_trace(trace)
 
     # -- analysis window -----------------------------------------------------
     def record_analysis(
@@ -139,8 +118,6 @@ class Observability:
         memo_recomputations: Optional[int] = None,
         trace_id: Optional[str] = None,
     ) -> None:
-        if not self.enabled:
-            return
         self.window.record(
             sha,
             summary,
@@ -213,7 +190,6 @@ class Observability:
             for key, summary in sorted(self._latency.snapshot().items())
         }
         return {
-            "enabled": self.enabled,
             "uptime_seconds": round(self.uptime_seconds(), 3),
             "requests_by_endpoint": by_endpoint,
             "errors_by_endpoint": errors_by_endpoint,

@@ -15,8 +15,6 @@ from __future__ import annotations
 import json
 import logging
 import sys
-from typing import Optional
-
 SERVE_LOGGER_NAME = "repro.serve"
 
 #: LogRecord attributes that are plumbing, not user-supplied fields.
@@ -109,9 +107,3 @@ def disable_serve_logging() -> logging.Logger:
     logger.propagate = False
     return logger
 
-
-def log_level_from_args(level: Optional[str]) -> int:
-    numeric = getattr(logging, (level or "info").upper(), None)
-    if not isinstance(numeric, int):
-        raise ValueError(f"unknown log level {level!r}")
-    return numeric

@@ -14,10 +14,8 @@ Trace ids are ``<run>-<seq>``: a per-process random hex prefix plus a
 monotone sequence number.  That keeps ids unique across daemons while
 the sequence part stays human-orderable within one run.
 
-Everything here is allocation-light but *not* free, so the daemon only
-builds traces when observability is enabled; the contract that response
-bodies stay byte-identical is unaffected either way (trace data rides
-in headers and the event log only).
+Everything here is allocation-light; trace data rides in headers and
+the event log only, so response bodies stay byte-identical.
 """
 
 from __future__ import annotations

@@ -3,9 +3,8 @@
 ``run_strategy`` is what the thin wrappers in :mod:`repro.assignment`,
 the façade's :func:`repro.api.assign`, the codesign loop, and the
 ``assign`` experiment all call.  Passing an explicit
-:class:`~repro.memo.AnalysisMemo` via ``memo=`` (or the pre-1.4 alias
-``context=``) shares the subproblem memo across runs; omitting it gives
-the classic cold-start behaviour.
+:class:`~repro.memo.AnalysisMemo` via ``memo=`` shares the subproblem
+memo across runs; omitting it gives the classic cold-start behaviour.
 """
 
 from __future__ import annotations
@@ -25,15 +24,12 @@ def run_strategy(
     taskset: TaskSet,
     *,
     memo: Optional[AnalysisMemo] = None,
-    context: Optional[AnalysisMemo] = None,
     **options,
 ) -> AssignmentResult:
     """Run one assignment algorithm, optionally on a shared memo.
 
     ``options`` are strategy-specific (``max_evaluations`` for
-    ``backtracking``); unknown options are rejected by name.  ``memo``
-    and ``context`` name the same parameter (``context`` is the pre-1.4
-    spelling, kept for compatibility); passing both is rejected.  The
+    ``backtracking``); unknown options are rejected by name.  The
     result reports the paper's logical evaluation count plus the memo's
     ``cache_hits`` for this run.
     """
@@ -43,12 +39,6 @@ def run_strategy(
             f"unknown assignment algorithm {algorithm!r}; "
             f"known: {sorted(STRATEGIES)}"
         )
-    if memo is not None and context is not None and memo is not context:
-        raise ModelError(
-            "pass either memo= or its pre-1.4 alias context=, not both"
-        )
-    if memo is None:
-        memo = context
     run = (memo if memo is not None else AnalysisMemo()).run()
     start = time.perf_counter()
     priorities, claims_valid, backtracks = strategy.search(

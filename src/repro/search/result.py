@@ -37,9 +37,9 @@ class AssignmentResult:
         paper's complexity measure.  Memoised runs report the identical
         number a from-scratch run would; see ``cache_hits``.
     cache_hits:
-        How many of those evaluations the search context answered from
-        its subproblem memo instead of re-running the response-time
-        analyses.  Always 0 for a cold context on a tree without
+        How many of those evaluations the search answered from its
+        subproblem memo instead of re-running the response-time
+        analyses.  Always 0 for a cold memo on a tree without
         overlapping subproblems.
     backtracks:
         Number of times a partial assignment was abandoned.

@@ -72,7 +72,7 @@ class GreedyBottomUp(SearchStrategy):
 
     def search(self, taskset: TaskSet, run: MemoRun, **options) -> Outcome:
         _reject_options(self.name, options)
-        remaining = run.context.intern_all(taskset)
+        remaining = run.memo.intern_all(taskset)
         assignment: Dict[str, int] = {}
         believed_valid = True
         for level in range(1, len(remaining) + 1):
@@ -88,7 +88,7 @@ class GreedyBottomUp(SearchStrategy):
                     return None, False, 0
                 believed_valid = False  # dead end: committed past a violation
             chosen = remaining.pop(best_index)
-            assignment[run.context.name(chosen)] = level
+            assignment[run.memo.name(chosen)] = level
         return assignment, believed_valid, 0
 
 
@@ -120,7 +120,7 @@ class BacktrackingStrategy(SearchStrategy):
         **options,
     ) -> Outcome:
         _reject_options(self.name, options)
-        context = run.context
+        memo = run.memo
         counter = run.counter
         assignment: Dict[str, int] = {}
         backtracks = 0
@@ -142,17 +142,17 @@ class BacktrackingStrategy(SearchStrategy):
                 if slack < 0.0:
                     break  # all remaining candidates are infeasible here
                 tid = remaining[index]
-                assignment[context.name(tid)] = level
+                assignment[memo.name(tid)] = level
                 if backtrack(
                     remaining[:index] + remaining[index + 1 :], level + 1
                 ):
                     return True
-                del assignment[context.name(tid)]  # paper line 15
+                del assignment[memo.name(tid)]  # paper line 15
                 backtracks += 1
             return False
 
         try:
-            found = backtrack(context.intern_all(taskset), 1)
+            found = backtrack(memo.intern_all(taskset), 1)
         except _BudgetExhausted:
             return None, False, backtracks
         return (dict(assignment) if found else None), found, backtracks
@@ -171,12 +171,12 @@ class ExhaustiveStrategy(SearchStrategy):
     def search(self, taskset: TaskSet, run: MemoRun, **options) -> Outcome:
         _reject_options(self.name, options)
         check_exhaustive_size(len(taskset), "exhaustive search")
-        ids = run.context.intern_all(taskset)
+        ids = run.memo.intern_all(taskset)
         for order in itertools.permutations(ids):
             if _order_is_valid(order, run):
                 return (
                     {
-                        run.context.name(tid): level + 1
+                        run.memo.name(tid): level + 1
                         for level, tid in enumerate(order)
                     },
                     True,
@@ -207,10 +207,10 @@ class SlackMonotonicStrategy(SearchStrategy):
 
     def search(self, taskset: TaskSet, run: MemoRun, **options) -> Outcome:
         _reject_options(self.name, options)
-        ids = run.context.intern_all(taskset)
+        ids = run.memo.intern_all(taskset)
         slacks = run.level_slacks(ids)
         scored = [
-            (slacks[i], run.context.name(tid)) for i, tid in enumerate(ids)
+            (slacks[i], run.memo.name(tid)) for i, tid in enumerate(ids)
         ]
         # Most slack -> lowest priority (level 1 first).
         scored.sort(key=lambda item: -item[0])

@@ -2,13 +2,13 @@
 
 The network front end the façade was built for: a long-lived process
 serving :func:`repro.api.analyze` / :func:`repro.api.assign` to
-concurrent clients, with two mechanics that keep serving cost on the
-batched kernels instead of scalar per-request work:
+concurrent clients, with mechanics that keep repeated work off the
+hot path:
 
 * **request coalescing + micro-batching**
   (:class:`~repro.serve.batcher.MicroBatcher`): requests arriving within
-  a short window ride one ``analyze_batch``/``assign_batch`` call;
-  identical models in a batch compute once;
+  a short window ride one dispatch; identical models in a batch compute
+  once;
 * a **content-addressed result store**
   (:class:`~repro.serve.store.ResultStore`) keyed by the model's
   ``canonical_sha256`` -- in-memory LRU plus an optional disk tier
@@ -20,8 +20,11 @@ in-process façade output for the same model (same versioned schema, same
 ``canonical_sha256``) -- pinned by the end-to-end tests and held at
 every ``--jobs`` count.
 
-One daemon process serves every request; ``--jobs N`` routes model
-batches to a persistent process pool (:class:`repro.exec.PoolBackend`).
+One daemon process serves every request, and every model is computed
+by :func:`repro.serve.daemon.compute_model`: in the dispatch thread on
+the daemon's analysis memo, or, with ``--jobs N``, in contiguous slices
+on a persistent process pool (:class:`repro.exec.PoolBackend`) whose
+workers each own a memo.
 
 Quickstart::
 

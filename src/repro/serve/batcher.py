@@ -1,11 +1,11 @@
 """Request coalescing + micro-batching for the analysis daemon.
 
 Concurrent requests that arrive within a short window are collected into
-one batch and dispatched together, so the daemon pays the batched-kernel
-cost of :func:`repro.api.analyze_batch`/:func:`~repro.api.assign_batch`
-instead of the scalar cost per request.  Within a batch, requests with
-the same content key (the model's ``canonical_sha256``) are *coalesced*:
-the computation runs once and every waiter gets the same response bytes.
+one batch and dispatched together (in the daemon, one
+:func:`repro.serve.daemon.compute_models` call).  Within a batch,
+requests with the same content key (the model's ``canonical_sha256``)
+are *coalesced*: the computation runs once and every waiter gets the
+same response bytes.
 
 The batcher is transport-agnostic: ``submit()`` is awaited by the HTTP
 handlers, the synchronous ``dispatch`` callable runs on a dedicated

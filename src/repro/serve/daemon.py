@@ -23,38 +23,36 @@ server exposing the façade to concurrent clients:
   Advisory only.
 * ``POST /v1/shutdown`` -- clean shutdown (responds, then exits).
 
-Every response carries an ``X-Repro-Trace-Id`` header; with
-observability enabled (the default) requests are traced per stage
-(parse -> store lookup -> batch compute -> store fill) into the metrics
-registry and, when configured, a JSON-lines event log.  Instrumentation
-is zero-cost-when-disabled (``obs=False``) and strictly out-of-band:
-response bodies stay byte-identical to direct façade calls either way.
+Every response carries an ``X-Repro-Trace-Id`` header, and every
+request is traced per stage (parse -> store lookup -> batch compute ->
+store fill) into the metrics registry and, when configured, a JSON-lines
+event log.  Telemetry is strictly out-of-band: response bodies are
+byte-identical to direct façade calls.
 
-Two mechanics keep the hot path on the batched kernels instead of paying
-scalar cost per request:
+Three mechanics keep repeated work off the hot path:
 
 1. **Coalescing + micro-batching** (:mod:`repro.serve.batcher`):
-   requests arriving within ``--batch-window`` are grouped and pushed
-   through ``analyze_batch``/``assign_batch`` as one call; identical
-   models in a batch are computed once.
+   requests arriving within ``--batch-window`` are grouped into one
+   dispatch; identical models in a batch are computed once.
 2. **Content-addressed store** (:mod:`repro.serve.store`): responses are
    cached under the model's ``canonical_sha256`` (in-memory LRU +
    optional disk tier under ``--cache-dir``), so repeated models are
    replayed without recomputation.
-3. **Daemon-lifetime analysis memo** (:mod:`repro.memo`): on a
-   whole-model store miss, per-task subproblems are routed through one
-   shared :class:`~repro.memo.AnalysisMemo`, so a *near*-identical model
-   (one WCET edit of an already-served 12-task system) recomputes only
-   the tasks whose ``(task, hp-set)`` key is new -- roughly 1 of 12
-   instead of all of them.  Response bodies stay byte-identical to the
-   direct façade output (the memo's task-set-order contract); the
-   incremental accounting is surfaced out-of-band in response headers
-   (``X-Repro-Source``, ``X-Repro-Memo-Hits``,
-   ``X-Repro-Memo-Recomputations``) and aggregated in ``GET /v1/stats``
-   under ``"memo"``.  ``--memo-entries 0`` disables the layer; with
-   ``--jobs > 1`` model batches go to the persistent worker pool
-   (:class:`repro.exec.PoolBackend`) where each worker owns its own
-   worker-lifetime memo instead.
+3. **Analysis memo** (:mod:`repro.memo`): on a whole-model store miss,
+   per-task subproblems are routed through an
+   :class:`~repro.memo.AnalysisMemo`, so a *near*-identical model (one
+   WCET edit of an already-served 12-task system) recomputes only the
+   tasks whose ``(task, hp-set)`` key is new.  The incremental
+   accounting rides in response headers (``X-Repro-Source``,
+   ``X-Repro-Memo-Hits``, ``X-Repro-Memo-Recomputations``) and, at
+   ``--jobs 1``, in ``GET /v1/stats`` under ``"memo"``.
+   ``--memo-entries 0`` means no memo at all.
+
+Every model is computed by one function, :func:`compute_model`.  At
+``--jobs 1`` it runs in the batcher's dispatch thread on the daemon's
+memo; with ``--jobs N`` a batch goes to the persistent worker pool
+(:class:`repro.exec.PoolBackend`) as contiguous, order-preserving
+slices, each worker computing on its own worker-lifetime memo.
 
 CLI: ``python -m repro serve [--port --jobs --cache-dir ...]``; drive it
 with ``python -m repro request <model.json>`` or plain ``curl``.
@@ -66,21 +64,21 @@ import asyncio
 import json
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.api.model import ControlTaskSystem
-from repro.api.service import analyze, analyze_batch, assign, assign_batch
+from repro.api.service import analyze, assign
 from repro.errors import ModelError
+from repro.exec import ExecutionPlan, resolve_jobs, worker_memo
 from repro.memo import AnalysisMemo
-from repro.obs import Observability, detector_names
+from repro.obs import Observability, RequestTrace, detector_names
 from repro.obs.logs import serve_logger
 from repro.obs.revalidate import DEFAULT_HORIZON_PERIODS, revalidate_flagged
 from repro.obs.window import summary_from_report_body
 from repro.search.strategies import STRATEGIES
 from repro.serve.batcher import MicroBatcher
 from repro.serve.store import ResultStore
-from repro.exec import resolve_jobs
 from repro.sweep.result import canonical_json_with_hash
 
 _REASONS = {
@@ -116,6 +114,88 @@ def _json_body(payload: Dict[str, Any]) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+#: One computed response: ``(ok, body, meta)``.
+Result = Tuple[bool, str, Optional[Dict[str, Any]]]
+
+
+def compute_model(
+    group: Tuple[str, ...], system: Any, memo: Optional[AnalysisMemo]
+) -> Result:
+    """One model through the façade; never raises.
+
+    ``group`` is ``("analyze",)`` or ``("assign", algorithm)``.  ``meta``
+    carries the report summary (analyze) and, when ``memo`` is given,
+    this model's memo deltas.  ``memo`` has one writer at a time (the
+    dispatch thread, or a pool worker), so the before/after snapshots
+    delimit exactly this model's evaluations.  ``assign`` routes only
+    its validation analysis through the memo: a warm *search* memo
+    would change the outcome's canonical ``cache_hits`` and break byte
+    identity with cold façade calls.
+    """
+    before = None if memo is None else memo.stats()
+    meta: Dict[str, Any] = {}
+    # Broad catch: isolation covers *any* per-model failure (a NaN-period
+    # model dies in the numeric kernels with a ValueError, not a
+    # ReproError), and an escaped exception would fail every batch-mate.
+    try:
+        if group[0] == "analyze":
+            report = analyze(system, memo=memo)
+            body = report.report_json()
+            meta["summary"] = report.summary()
+        else:
+            body = assign(
+                system, algorithm=group[1], validation_memo=memo
+            ).outcome_json()
+    except Exception as exc:  # noqa: BLE001 -- isolate the poisoned model
+        return False, _json_body({"error": str(exc)}), None
+    if before is not None:
+        after = memo.stats()
+        meta["memo_hits"] = after["cache_hits"] - before["cache_hits"]
+        meta["memo_recomputations"] = (
+            after["recomputations"] - before["recomputations"]
+        )
+    return True, body, meta or None
+
+
+def _compute_slice(
+    group: Tuple[str, ...], systems: List[Any]
+) -> List[Result]:
+    """One pool call: a contiguous slice on the worker's own memo."""
+    memo = worker_memo()
+    return [compute_model(group, system, memo) for system in systems]
+
+
+def compute_models(
+    group: Tuple[str, ...],
+    systems: Sequence[Any],
+    *,
+    memo: Optional[AnalysisMemo] = None,
+    pool=None,
+) -> List[Result]:
+    """A batch of models, results in order.
+
+    Without ``pool``, in this thread on ``memo``.  With a
+    :class:`~repro.exec.PoolBackend`, as one plan of contiguous slices,
+    one per worker; a worker crash fails its slice over in-process.
+    """
+    if pool is None:
+        return [compute_model(group, system, memo) for system in systems]
+    parts = max(1, min(pool.workers, len(systems)))
+    base, extra = divmod(len(systems), parts)
+    slices, start = [], 0
+    for k in range(parts):
+        size = base + (1 if k < extra else 0)
+        slices.append(list(systems[start : start + size]))
+        start += size
+    plan = ExecutionPlan(
+        name="serve",
+        fn=_compute_slice,
+        calls=tuple((group, part) for part in slices),
+        weights=tuple(len(part) for part in slices),
+    )
+    return [result for part in pool.run(plan) for result in part]
+
+
 class AnalysisDaemon:
     """One serving process: HTTP front end + batcher + result store."""
 
@@ -131,7 +211,6 @@ class AnalysisDaemon:
         store_entries: int = 1024,
         read_timeout: float = 30.0,
         memo_entries: int = 65536,
-        obs: bool = True,
         obs_window: int = 2048,
         event_log: Optional[str] = None,
         detect_interval: float = 0.0,
@@ -144,20 +223,17 @@ class AnalysisDaemon:
         self.jobs = resolve_jobs(jobs)
         self.cache_dir = cache_dir
         #: ``jobs > 1``: model batches go to the execution plane's
-        #: long-lived :class:`~repro.exec.backends.PoolBackend` instead
-        #: of per-batch ``analyze_batch(jobs=N)`` pools; each worker then
-        #: owns its own worker-lifetime memo, so the daemon-level memo
-        #: stays off.
+        #: long-lived :class:`~repro.exec.backends.PoolBackend`, whose
+        #: workers each own a worker-lifetime memo.
         self.pool = None
         if self.jobs > 1:
             from repro.exec import PoolBackend
 
             self.pool = PoolBackend(self.jobs, memo_entries=memo_entries)
-        #: Daemon-lifetime analysis memo: incremental recomputation for
-        #: near-identical models.  ``memo_entries`` bounds the subproblem
-        #: cache (LRU); ``0`` disables the layer.  Only consulted on the
-        #: in-process (``jobs == 1``) path -- with a pool, the workers
-        #: carry their own memos instead.
+        #: Daemon-lifetime analysis memo of the in-process (``jobs ==
+        #: 1``) path: incremental recomputation for near-identical
+        #: models.  ``memo_entries`` bounds the subproblem cache (LRU);
+        #: ``0`` means no memo.
         self.memo: Optional[AnalysisMemo] = (
             AnalysisMemo(max_entries=memo_entries)
             if memo_entries > 0 and self.pool is None
@@ -184,10 +260,8 @@ class AnalysisDaemon:
         )
         #: Telemetry: per-daemon metric registry, rolling report window,
         #: tracing, optional JSON-lines event log (:mod:`repro.obs`).
-        #: ``obs=False`` reduces every per-request hook to one ``if`` --
-        #: response *bodies* are byte-identical either way.
         self.obs = Observability(
-            enabled=obs, window_entries=obs_window, event_log_path=event_log
+            window_entries=obs_window, event_log_path=event_log
         )
         #: Background advisory detection cadence in seconds (0 = off):
         #: every interval the detector registry runs over the report
@@ -211,124 +285,35 @@ class AnalysisDaemon:
     # -- computation ---------------------------------------------------------
     def _dispatch(
         self, group: Tuple[str, ...], payloads: List[Any]
-    ) -> List[Tuple[bool, str, Optional[Dict[str, Any]]]]:
+    ) -> List[Result]:
         """Batched computation (runs on the batcher's worker thread).
 
-        Returns ``(ok, body, meta)`` per payload -- ``meta`` carries the
-        memo's per-request hit/recompute deltas (``None`` when the memo
-        is off or not consulted).  With the memo active, model groups are
-        computed per system through the shared
-        :class:`~repro.memo.AnalysisMemo` (``analyze`` routes the whole
-        per-task pass; ``assign`` routes only the *validation* analysis
-        via ``validation_memo=``, because a warm search memo would change
-        the outcome's canonical ``cache_hits`` field and break wire
-        byte-identity with cold façade calls).  Without it, model groups
-        ride ``analyze_batch``/``assign_batch`` whole; if any system
-        poisons a batched call, fall back to per-system computation so
-        one bad model cannot fail its batch-mates.  Scenario runs are
-        computed per payload (each is already a whole population draw).
+        Returns ``(ok, body, meta)`` per payload.  Model groups go
+        through :func:`compute_models`; scenario runs are computed per
+        payload (each is already a whole population draw).
         """
-        # Broad catches throughout: the isolation guarantee covers *any*
-        # per-model failure (a NaN-period model dies in the numeric
-        # kernels with a ValueError, not a ReproError), and an escaped
-        # exception here would fail every coalesced batch-mate with 500.
-        if group[0] == "scenarios":
-            from repro.scenarios import scenario_run_json
+        if group[0] != "scenarios":
+            return compute_models(
+                group, payloads, memo=self.memo, pool=self.pool
+            )
+        from repro.scenarios import scenario_run_json
 
-            results: List[Tuple[bool, str, Optional[Dict[str, Any]]]] = []
-            for name, instances, seed in payloads:
-                try:
-                    results.append(
-                        (
-                            True,
-                            scenario_run_json(name, instances=instances, seed=seed),
-                            None,
-                        )
-                    )
-                except Exception as exc:  # noqa: BLE001
-                    results.append((False, _json_body({"error": str(exc)}), None))
-            return results
-        systems = payloads
-        if self.pool is not None:
-            # Model batches ride the persistent worker pool; results come
-            # back in submission order with the same (ok, body, meta)
-            # shape (crash failover inside keeps per-item isolation).
-            return self.pool.compute(group, systems)
-        if self.memo is not None:
-            return [self._compute_with_memo(group, system) for system in systems]
-        try:
-            if group[0] == "analyze":
-                reports = analyze_batch(systems, jobs=self.jobs)
-                if self.obs.enabled:
-                    # Summaries ride the meta channel so the report
-                    # window never re-parses response bodies.
-                    return [
-                        (True, r.report_json(), {"summary": r.summary()})
-                        for r in reports
-                    ]
-                return [(True, r.report_json(), None) for r in reports]
-            outcomes = assign_batch(systems, algorithm=group[1], jobs=self.jobs)
-            return [(True, o.outcome_json(), None) for o in outcomes]
-        except Exception:  # noqa: BLE001 -- isolate the poisoned model
-            results = []
-            for system in systems:
-                try:
-                    if group[0] == "analyze":
-                        results.append((True, analyze(system).report_json(), None))
-                    else:
-                        results.append(
-                            (
-                                True,
-                                assign(system, algorithm=group[1]).outcome_json(),
-                                None,
-                            )
-                        )
-                except Exception as exc:  # noqa: BLE001
-                    results.append(
-                        (False, _json_body({"error": str(exc)}), None)
-                    )
-            return results
-
-    def _compute_with_memo(
-        self, group: Tuple[str, ...], system: Any
-    ) -> Tuple[bool, str, Optional[Dict[str, Any]]]:
-        """One model through the daemon memo, with per-request deltas.
-
-        The batcher's single dispatch thread is the memo's only writer,
-        so the before/after ``stats()`` snapshots delimit exactly this
-        request's evaluations.
-        """
-        before = self.memo.stats()
-        summary: Optional[Dict[str, Any]] = None
-        try:
-            if group[0] == "analyze":
-                report = analyze(system, memo=self.memo)
-                body = report.report_json()
-                if self.obs.enabled:
-                    summary = report.summary()
+        results: List[Result] = []
+        for name, instances, seed in payloads:
+            try:
+                body = scenario_run_json(name, instances=instances, seed=seed)
+            except Exception as exc:  # noqa: BLE001 -- isolate the bad draw
+                results.append((False, _json_body({"error": str(exc)}), None))
             else:
-                body = assign(
-                    system, algorithm=group[1], validation_memo=self.memo
-                ).outcome_json()
-        except Exception as exc:  # noqa: BLE001 -- isolate the poisoned model
-            return False, _json_body({"error": str(exc)}), None
-        after = self.memo.stats()
-        meta: Dict[str, Any] = {
-            "memo_hits": after["cache_hits"] - before["cache_hits"],
-            "memo_recomputations": (
-                after["recomputations"] - before["recomputations"]
-            ),
-        }
-        if summary is not None:
-            meta["summary"] = summary
-        return True, body, meta
+                results.append((True, body, None))
+        return results
 
     async def _compute(
         self,
         kind_group: Tuple[str, ...],
         sha: str,
         payload: Any,
-        trace=None,
+        trace: RequestTrace,
     ) -> Tuple[int, str, Dict[str, str]]:
         """Cache lookup -> coalesced batch submit -> cache fill.
 
@@ -336,9 +321,8 @@ class AnalysisDaemon:
         out-of-band provenance (``X-Repro-Source: store|computed``) and,
         on memo-routed computations, the per-request incremental counts
         -- response *bodies* must stay byte-identical to direct façade
-        output, so metadata never rides in them.  With observability on,
-        each stage lands a span on ``trace`` and served analyze outcomes
-        feed the detector window.
+        output, so metadata never rides in them.  Each stage lands a span
+        on ``trace`` and served analyze outcomes feed the detector window.
 
         With a disk tier configured, store traffic runs off-loop
         (``asyncio.to_thread``): a slow or contended disk must never
@@ -351,16 +335,14 @@ class AnalysisDaemon:
             cached = await asyncio.to_thread(self.store.get, store_kind, sha)
         else:
             cached = self.store.get(store_kind, sha)
-        if trace is not None:
-            trace.add_span(
-                "store_lookup",
-                time.perf_counter() - started,
-                outcome="hit" if cached is not None else "miss",
-            )
+        trace.add_span(
+            "store_lookup",
+            time.perf_counter() - started,
+            outcome="hit" if cached is not None else "miss",
+        )
         if cached is not None:
             self.responses_from_cache += 1
-            if trace is not None:
-                trace.annotate(source="store", sha=sha)
+            trace.annotate(source="store", sha=sha)
             if kind_group[0] == "analyze":
                 self._record_served(
                     sha, cached, source="store",
@@ -369,10 +351,9 @@ class AnalysisDaemon:
             return 200, cached, {"X-Repro-Source": "store"}
         submit_start = time.perf_counter()
         ok, body, meta = await self.batcher.submit(kind_group, sha, payload)
-        if trace is not None:
-            trace.add_span(
-                "batch_compute", time.perf_counter() - submit_start, ok=ok
-            )
+        trace.add_span(
+            "batch_compute", time.perf_counter() - submit_start, ok=ok
+        )
         if not ok:
             self.errors += 1
             return 422, body, {}
@@ -382,13 +363,11 @@ class AnalysisDaemon:
             headers["X-Repro-Memo-Recomputations"] = str(
                 meta["memo_recomputations"]
             )
-            if trace is not None:
-                trace.annotate(
-                    memo_hits=meta["memo_hits"],
-                    memo_recomputations=meta["memo_recomputations"],
-                )
-        if trace is not None:
-            trace.annotate(source="computed", sha=sha)
+            trace.annotate(
+                memo_hits=meta["memo_hits"],
+                memo_recomputations=meta["memo_recomputations"],
+            )
+        trace.annotate(source="computed", sha=sha)
         # Coalesced waiters all resolve with the same body; only the
         # first one past this check pays the store write.
         if not self.store.seen(store_kind, sha):
@@ -397,10 +376,7 @@ class AnalysisDaemon:
                 await asyncio.to_thread(self.store.put, store_kind, sha, body)
             else:
                 self.store.put(store_kind, sha, body)
-            if trace is not None:
-                trace.add_span(
-                    "store_fill", time.perf_counter() - fill_start
-                )
+            trace.add_span("store_fill", time.perf_counter() - fill_start)
         if kind_group[0] == "analyze":
             self._record_served(
                 sha, body, source="computed",
@@ -415,7 +391,7 @@ class AnalysisDaemon:
         *,
         source: str,
         started: float,
-        trace,
+        trace: RequestTrace,
         meta: Optional[Dict[str, Any]],
     ) -> None:
         """Feed one served analyze outcome to the detector window.
@@ -425,8 +401,6 @@ class AnalysisDaemon:
         cache and only fall back to parsing the body once per sha (the
         warm-disk-tier-after-restart case).
         """
-        if not self.obs.enabled:
-            return
         summary = (meta or {}).get("summary")
         if summary is None:
             summary = self.obs.window.summary_for(sha)
@@ -441,7 +415,7 @@ class AnalysisDaemon:
             latency_seconds=time.perf_counter() - started,
             memo_hits=(meta or {}).get("memo_hits"),
             memo_recomputations=(meta or {}).get("memo_recomputations"),
-            trace_id=None if trace is None else trace.trace_id,
+            trace_id=trace.trace_id,
         )
 
     # -- HTTP plumbing -------------------------------------------------------
@@ -473,7 +447,7 @@ class AnalysisDaemon:
                 # Routes answer (status, body) or (status, body, headers)
                 # -- the model/scenario paths attach provenance headers.
                 result = await self._handle_request(
-                    method, target, request_body, trace=trace
+                    method, target, request_body, trace
                 )
                 if len(result) == 3:
                     status, body, extra_headers = result
@@ -566,102 +540,86 @@ class AnalysisDaemon:
         return method, target, body
 
     async def _handle_request(
-        self, method: str, target: str, body: bytes, trace=None
+        self, method: str, target: str, body: bytes, trace: RequestTrace
     ) -> Tuple:
-        """Route one request; ``(status, body[, extra_headers])``."""
+        """Route one request through :data:`_ROUTES`.
+
+        Every handler takes ``(body, query, trace)`` and answers
+        ``(status, body[, extra_headers])``.
+        """
         self.requests_total += 1
-
         split = urlsplit(target)
-        path, query = split.path, parse_qs(split.query)
-
-        if path == "/v1/health":
-            if method != "GET":
-                return 405, _json_body({"error": "use GET"})
-            from repro import __version__
-            from repro.api.report import SCHEMA_VERSION
-
-            return 200, _json_body(
+        route = _ROUTES.get(split.path)
+        if route is None:
+            return 404, _json_body(
                 {
-                    "status": "ok",
-                    "version": __version__,
-                    "schema_version": SCHEMA_VERSION,
-                    "jobs": self.jobs,
-                    "mode": self._mode(),
+                    "error": f"no route {method} {split.path}",
+                    "routes": [
+                        f"{verb} {path}{hint}"
+                        for path, (verb, _, hint) in _ROUTES.items()
+                    ],
                 }
             )
-        if path == "/v1/stats":
-            if method != "GET":
-                return 405, _json_body({"error": "use GET"})
-            return 200, _json_body(self.stats())
-        if path == "/v1/metrics":
-            if method != "GET":
-                return 405, _json_body({"error": "use GET"})
-            # The daemon's counters ride along as flattened gauges; the
-            # obs block is dropped from them because the registry already
-            # exposes the same data as first-class instruments.
-            stats = self.stats()
-            stats.pop("obs", None)
-            text = await asyncio.to_thread(self.obs.metrics_text, stats)
-            return 200, text, {
-                "Content-Type": "text/plain; version=0.0.4; charset=utf-8"
-            }
-        if path == "/v1/detect":
-            if method != "POST":
-                return 405, _json_body({"error": "use POST"})
-            return await self._detect_request(body)
-        if path == "/v1/shutdown":
-            if method != "POST":
-                return 405, _json_body({"error": "use POST"})
-            # Respond first, then trip the event: the connection is
-            # written before serve_forever tears the server down.
-            asyncio.get_running_loop().call_soon(self._shutdown.set)
-            return 200, _json_body({"status": "shutting down"})
-        if path == "/v1/analyze":
-            if method != "POST":
-                return 405, _json_body({"error": "use POST"})
-            return await self._model_request(("analyze",), body, trace=trace)
-        if path == "/v1/assign":
-            if method != "POST":
-                return 405, _json_body({"error": "use POST"})
-            algorithm = query.get("algorithm", [None])[0]
-            if algorithm is not None and algorithm not in STRATEGIES:
-                return 400, _json_body(
-                    {
-                        "error": f"unknown algorithm {algorithm!r}",
-                        "known": sorted(STRATEGIES),
-                    }
-                )
-            return await self._model_request(
-                ("assign", algorithm), body, trace=trace
-            )
-        if path == "/v1/scenarios":
-            if method != "GET":
-                return 405, _json_body({"error": "use GET"})
-            from repro.scenarios import scenario_names
+        verb, handler, _ = route
+        if method != verb:
+            return 405, _json_body({"error": f"use {verb}"})
+        return await handler(self, body, parse_qs(split.query), trace)
 
-            return 200, _json_body({"scenarios": list(scenario_names())})
-        if path == "/v1/scenarios/run":
-            if method != "POST":
-                return 405, _json_body({"error": "use POST"})
-            return await self._scenario_request(body)
-        return 404, _json_body(
+    # -- routes --------------------------------------------------------------
+    async def _get_health(self, body, query, trace) -> Tuple:
+        from repro import __version__
+        from repro.api.report import SCHEMA_VERSION
+
+        return 200, _json_body(
             {
-                "error": f"no route {method} {path}",
-                "routes": [
-                    "GET /v1/health",
-                    "GET /v1/stats",
-                    "GET /v1/metrics",
-                    "GET /v1/scenarios",
-                    "POST /v1/analyze",
-                    "POST /v1/assign[?algorithm=...]",
-                    "POST /v1/detect",
-                    "POST /v1/scenarios/run",
-                    "POST /v1/shutdown",
-                ],
+                "status": "ok",
+                "version": __version__,
+                "schema_version": SCHEMA_VERSION,
+                "jobs": self.jobs,
+                "mode": self._mode(),
             }
         )
 
-    async def _detect_request(self, body: bytes) -> Tuple:
+    async def _get_stats(self, body, query, trace) -> Tuple:
+        return 200, _json_body(self.stats())
+
+    async def _get_metrics(self, body, query, trace) -> Tuple:
+        # The daemon's counters ride along as flattened gauges; the obs
+        # block is dropped from them because the registry already
+        # exposes the same data as first-class instruments.
+        stats = self.stats()
+        stats.pop("obs", None)
+        text = await asyncio.to_thread(self.obs.metrics_text, stats)
+        return 200, text, {
+            "Content-Type": "text/plain; version=0.0.4; charset=utf-8"
+        }
+
+    async def _get_scenarios(self, body, query, trace) -> Tuple:
+        from repro.scenarios import scenario_names
+
+        return 200, _json_body({"scenarios": list(scenario_names())})
+
+    async def _post_analyze(self, body, query, trace) -> Tuple:
+        return await self._model_request(("analyze",), body, trace)
+
+    async def _post_assign(self, body, query, trace) -> Tuple:
+        algorithm = query.get("algorithm", [None])[0]
+        if algorithm is not None and algorithm not in STRATEGIES:
+            return 400, _json_body(
+                {
+                    "error": f"unknown algorithm {algorithm!r}",
+                    "known": sorted(STRATEGIES),
+                }
+            )
+        return await self._model_request(("assign", algorithm), body, trace)
+
+    async def _post_shutdown(self, body, query, trace) -> Tuple:
+        # Respond first, then trip the event: the connection is written
+        # before serve_forever tears the server down.
+        asyncio.get_running_loop().call_soon(self._shutdown.set)
+        return 200, _json_body({"status": "shutting down"})
+
+    async def _post_detect(self, body, query, trace) -> Tuple:
         """``POST /v1/detect``: run detectors over the recent window.
 
         Body (optional, all keys optional): ``{"window": n_records,
@@ -748,7 +706,7 @@ class AnalysisDaemon:
 
     # -- window persistence / findings export --------------------------------
     def _load_window(self) -> None:
-        if not (self.window_file and self.obs.enabled):
+        if not self.window_file:
             return
         restored = self.obs.window.load(self.window_file)
         self.window_restored = restored
@@ -759,7 +717,7 @@ class AnalysisDaemon:
             )
 
     def _save_window(self) -> None:
-        if self._window_saved or not (self.window_file and self.obs.enabled):
+        if self._window_saved or not self.window_file:
             return
         self._window_saved = True
         try:
@@ -791,7 +749,7 @@ class AnalysisDaemon:
         return system, system.canonical_sha256(), data
 
     async def _model_request(
-        self, kind_group: Tuple[str, ...], body: bytes, trace=None
+        self, kind_group: Tuple[str, ...], body: bytes, trace: RequestTrace
     ) -> Tuple:
         parse_start = time.perf_counter()
         try:
@@ -807,20 +765,17 @@ class AnalysisDaemon:
         except ModelError as exc:
             self.errors += 1
             return 400, _json_body({"error": str(exc)})
-        if trace is not None:
-            trace.add_span(
-                "parse_model",
-                time.perf_counter() - parse_start,
-                bytes=len(body),
-            )
-        if self.obs.enabled and kind_group[0] == "analyze":
+        trace.add_span(
+            "parse_model", time.perf_counter() - parse_start, bytes=len(body)
+        )
+        if kind_group[0] == "analyze":
             # The raw request dict is exactly the model; remembering it
             # keyed by sha is what lets /v1/detect revalidate flagged
             # models later without re-serialising anything.
             self.obs.window.remember_model(sha, raw)
-        return await self._compute(kind_group, sha, system, trace=trace)
+        return await self._compute(kind_group, sha, system, trace)
 
-    async def _scenario_request(self, body: bytes) -> Tuple:
+    async def _post_scenarios_run(self, body, query, trace) -> Tuple:
         """``POST /v1/scenarios/run``: a seeded scenario population draw.
 
         Body: ``{"scenario": name, "instances": n, "seed": s}`` (seed
@@ -865,7 +820,9 @@ class AnalysisDaemon:
             )
         key = f"{name}:{instances}:{seed}"
         sha = hashlib.sha256(key.encode("utf-8")).hexdigest()
-        return await self._compute(("scenarios",), sha, (name, instances, seed))
+        return await self._compute(
+            ("scenarios",), sha, (name, instances, seed), trace
+        )
 
     # -- lifecycle -----------------------------------------------------------
     async def start(self) -> None:
@@ -877,7 +834,7 @@ class AnalysisDaemon:
             self._handle, host=self.host, port=self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        if self.detect_interval > 0 and self.obs.enabled:
+        if self.detect_interval > 0:
             self._detect_task = asyncio.get_running_loop().create_task(
                 self._detect_loop()
             )
@@ -891,7 +848,6 @@ class AnalysisDaemon:
                 "max_batch": self.batcher.max_batch,
                 "cache_dir": self.cache_dir,
                 "memo": self.memo is not None,
-                "obs": self.obs.enabled,
                 "detect_interval": self.detect_interval,
                 "mode": self._mode(),
             },
@@ -1018,17 +974,31 @@ class AnalysisDaemon:
             "uptime_seconds": round(self.obs.uptime_seconds(), 3),
             "batcher": self.batcher.stats(),
             "store": self.store.stats(),
-            # Daemon-lifetime analysis memo (None when --memo-entries 0):
-            # cache_hits / recomputations count per-task subproblems, so
-            # hit rate here is the *incremental-analysis* win on store
-            # misses -- distinct from responses_from_cache, which counts
-            # whole-model replays.
+            # Daemon-lifetime analysis memo (None with --memo-entries 0
+            # or a pool): cache_hits / recomputations count per-task
+            # subproblems, so hit rate here is the *incremental-analysis*
+            # win on store misses -- distinct from responses_from_cache,
+            # which counts whole-model replays.
             "memo": None if self.memo is None else self.memo.stats(),
             # Observability: per-endpoint request/error counters,
-            # in-flight gauge, latency percentiles, detector window
-            # (repro.obs; "enabled": false when started with obs off).
+            # in-flight gauge, latency percentiles, detector window.
             "obs": self.obs.stats(),
         }
+
+
+#: The one route table: ``path -> (method, handler, query hint)``.  The
+#: 404 body lists the routes in this order.
+_ROUTES = {
+    "/v1/health": ("GET", AnalysisDaemon._get_health, ""),
+    "/v1/stats": ("GET", AnalysisDaemon._get_stats, ""),
+    "/v1/metrics": ("GET", AnalysisDaemon._get_metrics, ""),
+    "/v1/scenarios": ("GET", AnalysisDaemon._get_scenarios, ""),
+    "/v1/analyze": ("POST", AnalysisDaemon._post_analyze, ""),
+    "/v1/assign": ("POST", AnalysisDaemon._post_assign, "[?algorithm=...]"),
+    "/v1/detect": ("POST", AnalysisDaemon._post_detect, ""),
+    "/v1/scenarios/run": ("POST", AnalysisDaemon._post_scenarios_run, ""),
+    "/v1/shutdown": ("POST", AnalysisDaemon._post_shutdown, ""),
+}
 
 
 def run_daemon_in_thread(daemon: AnalysisDaemon, timeout: float = 10.0):
@@ -1045,3 +1015,4 @@ def run_daemon_in_thread(daemon: AnalysisDaemon, timeout: float = 10.0):
     if not daemon.started.wait(timeout):
         raise RuntimeError(f"daemon did not start within {timeout} s")
     return thread
+

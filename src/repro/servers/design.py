@@ -53,7 +53,7 @@ def minimum_bandwidth_server(
     *,
     companions: Tuple[Task, ...] = (),
     grid_points: int = 64,
-    context: Optional[AnalysisMemo] = None,
+    memo: Optional[AnalysisMemo] = None,
 ) -> Optional[ServerDesignResult]:
     """Smallest-budget periodic server keeping ``task`` stable.
 
@@ -63,8 +63,8 @@ def minimum_bandwidth_server(
     carries a bound, ``L + aJ <= b``.  Returns ``None`` when no budget up
     to the full server period works.
 
-    The candidate scan runs through a :mod:`repro.search` context (pass
-    ``context=`` to pool its evaluation accounting with other searches);
+    The candidate scan runs through a :mod:`repro.search` memo run (pass
+    ``memo=`` to pool its evaluation accounting with other searches);
     server-supply subproblems are keyed by budget, not hp-set, so they
     are counted rather than memoised.
     """
@@ -78,7 +78,7 @@ def minimum_bandwidth_server(
     if grid_points < 2:
         raise ModelError("need at least two candidate budgets")
 
-    run = (context if context is not None else AnalysisMemo()).run()
+    run = (memo if memo is not None else AnalysisMemo()).run()
     budgets = np.linspace(0.0, server_period, grid_points + 1)[1:]
     stable: List[Tuple[float, float, float]] = []  # (budget, L, J)
     verdicts: List[bool] = []

@@ -29,13 +29,6 @@ def failing_worker(item: Any, params: Dict[str, Any], seed: int) -> Dict[str, An
     return {"ok": True}
 
 
-def pid_worker(item: Any, params: Dict[str, Any], seed: int) -> Dict[str, Any]:
-    """Worker that records its process id (parallel-dispatch test)."""
-    import os
-
-    return {"pid": os.getpid()}
-
-
 def pool_crashing_worker(
     item: Any, params: Dict[str, Any], seed: int
 ) -> Dict[str, Any]:

@@ -1,5 +1,5 @@
-"""Fast-lane smoke: sweep + serve request through ``PoolBackend`` at
-``--jobs 2``, byte-identical with serial (run as its own CI step).
+"""Fast-lane smoke: sweep + serve batch through ``PoolBackend`` at
+``--jobs 2``, byte-identical with serial.
 """
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ import pytest
 from repro.api.service import analyze
 from repro.exec import PoolBackend
 from repro.scenarios.workload import scenario_request_pool
+from repro.serve.daemon import compute_models
 from repro.sweep import SweepSpec, run_sweep
 from repro.sweep._testing import seeded_draw_worker
 
@@ -37,7 +38,7 @@ def test_serve_request_through_pool_matches_direct_facade():
     direct = [analyze(system).report_json() for system in systems]
     backend = PoolBackend(2, memo_entries=4096)
     try:
-        served = backend.compute(("analyze",), systems)
+        served = compute_models(("analyze",), systems, pool=backend)
     finally:
         backend.close()
     assert [body for ok, body, _ in served] == direct

@@ -1,11 +1,11 @@
 """Core semantics of the shared analysis memo.
 
-The search-context suite (``tests/search/test_context.py``) pins the
+The search-memo suite (``tests/search/test_context.py``) pins the
 memo/counter semantics the engine inherited; this suite covers what the
-promotion to :mod:`repro.memo` added: the ``context=`` keyword alias,
-bounded (LRU) operation, consistent ``stats()`` snapshots, and thread
-safety of the aggregate counters (the serve daemon shares one memo
-between its event loop and dispatch worker).
+promotion to :mod:`repro.memo` added: bounded (LRU) operation,
+consistent ``stats()`` snapshots, and thread safety of the aggregate
+counters (the serve daemon shares one memo between its event loop and
+dispatch worker).
 """
 
 from __future__ import annotations
@@ -20,35 +20,6 @@ from repro.rta.taskset import TaskSet
 from repro.search import run_strategy
 
 from _memo_population import random_population
-
-
-class TestDeprecatedAlias:
-    def test_analysis_memo_does_not_warn(self, recwarn):
-        AnalysisMemo()
-        assert not [
-            w for w in recwarn if issubclass(w.category, DeprecationWarning)
-        ]
-
-    def test_deprecated_context_still_drives_a_strategy(self):
-        (taskset,) = random_population(n=4, count=1, seed=101)
-        context = AnalysisMemo()
-        result = run_strategy("audsley", taskset, context=context)
-        fresh = run_strategy("audsley", taskset)
-        assert result.priorities == fresh.priorities
-        assert result.evaluations == fresh.evaluations
-
-    def test_memo_and_context_aliases_conflict_rejected(self):
-        (taskset,) = random_population(n=3, count=1, seed=102)
-        with pytest.raises(ModelError):
-            run_strategy(
-                "audsley", taskset, memo=AnalysisMemo(), context=AnalysisMemo()
-            )
-
-    def test_run_exposes_memo_alias(self):
-        memo = AnalysisMemo()
-        run = memo.run()
-        assert run.memo is memo
-        assert run.context is memo
 
 
 class TestBoundedMemo:

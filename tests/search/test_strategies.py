@@ -30,9 +30,9 @@ class TestRegistry:
 
 class TestEngineBehaviour:
     def test_input_taskset_never_mutated(self, easy_taskset):
-        context = AnalysisMemo()
+        memo = AnalysisMemo()
         for name in strategy_names():
-            run_strategy(name, easy_taskset, context=context)
+            run_strategy(name, easy_taskset, memo=memo)
         assert all(t.priority is None for t in easy_taskset)
 
     def test_infeasible_instance_outcomes(self, infeasible_taskset):
@@ -61,9 +61,9 @@ class TestEngineBehaviour:
         assert result.evaluations <= 3
 
     def test_succeeded_and_recomputations_properties(self, easy_taskset):
-        context = AnalysisMemo()
-        first = run_strategy("backtracking", easy_taskset, context=context)
-        second = run_strategy("backtracking", easy_taskset, context=context)
+        memo = AnalysisMemo()
+        first = run_strategy("backtracking", easy_taskset, memo=memo)
+        second = run_strategy("backtracking", easy_taskset, memo=memo)
         assert first.succeeded and second.succeeded
         assert first.priorities == second.priorities
         assert second.cache_hits == second.evaluations
@@ -73,9 +73,9 @@ class TestEngineBehaviour:
     def test_assignments_validate_through_facade(self):
         for n, index in ((4, 0), (5, 1), (6, 2)):
             taskset = random_taskset(n, index)
-            context = AnalysisMemo()
+            memo = AnalysisMemo()
             for name in ("audsley", "backtracking"):
-                result = run_strategy(name, taskset, context=context)
+                result = run_strategy(name, taskset, memo=memo)
                 if result.priorities is not None:
                     assert analyze(result.apply_to(taskset)).stable
 

@@ -83,27 +83,10 @@ class TestRequestCommand:
         assert "model file" in capsys.readouterr().err
 
 
-@pytest.fixture()
-def restore_serve_logger():
-    """Put the process-global ``repro.serve`` logger back as found.
-
-    ``main(["serve", ...])`` binds it to this test's captured stderr;
-    left bound, every later daemon and pool-crash warning in the session
-    writes to that closed stream.
-    """
-    logger = serve_logger()
-    handlers, level, propagate = list(logger.handlers), logger.level, logger.propagate
-    yield
-    for handler in list(logger.handlers):
-        logger.removeHandler(handler)
-    for handler in handlers:
-        logger.addHandler(handler)
-    logger.setLevel(level)
-    logger.propagate = propagate
-
-
 class TestServeCommand:
-    def test_serve_main_serves_and_shuts_down(self, capsys, restore_serve_logger):
+    def test_serve_main_serves_and_shuts_down(self, capsys):
+        logger = serve_logger()
+        found = (list(logger.handlers), logger.level, logger.propagate)
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
             port = probe.getsockname()[1]
@@ -125,6 +108,9 @@ class TestServeCommand:
         thread.join(timeout=10)
         assert not thread.is_alive()
         assert rcs == [0]
+        # The serve logger is back as found, not bound to this test's
+        # captured stderr.
+        assert (list(logger.handlers), logger.level, logger.propagate) == found
 
 
 class TestScenarioRequest:

@@ -393,10 +393,13 @@ class TestTopology:
         thread = run_daemon_in_thread(daemon)
         client = wait_until_ready(daemon.host, daemon.port)
         try:
-            status, body = client.analyze_raw(example_model)
+            status, headers, body = client.analyze_full(example_model)
             assert status == 200
             direct = analyze(ControlTaskSystem.from_dict(example_model))
             assert body.decode("utf-8") == direct.report_json()
+            # The computing worker's memo deltas ride in headers too.
+            assert int(headers["x-repro-memo-recomputations"]) > 0
+            assert int(headers["x-repro-memo-hits"]) >= 0
             status, body = client.assign_raw(
                 example_model, algorithm="audsley"
             )

@@ -17,6 +17,7 @@ import os
 import pytest
 
 from repro.api import ControlTaskSystem, analyze
+from repro.exec import backend_for_jobs
 from repro.serve import (
     AnalysisDaemon,
     ServeClientError,
@@ -132,10 +133,18 @@ class TestMemoSmoke:
     ):
         daemon, client = memoless_daemon
         assert daemon.memo is None
-        status, headers, body = client.analyze_full(example_model)
-        assert status == 200
-        assert headers["x-repro-source"] == "computed"
-        assert "x-repro-memo-hits" not in headers
-        direct = analyze(ControlTaskSystem.from_dict(example_model))
-        assert body.decode("utf-8") == direct.report_json()
+        # --memo-entries 0 means no memo at all: not even the
+        # process-wide serial backend's memo sees the traffic.
+        shared = backend_for_jobs(1).memo
+        before = shared.stats()
+        for model in (example_model, _edited(example_model, wcet=0.007)):
+            status, headers, body = client.analyze_full(model)
+            assert status == 200
+            assert headers["x-repro-source"] == "computed"
+            assert "x-repro-memo-hits" not in headers
+            direct = analyze(ControlTaskSystem.from_dict(model))
+            assert body.decode("utf-8") == direct.report_json()
+        after = shared.stats()
+        assert after["cache_hits"] == before["cache_hits"]
+        assert after["recomputations"] == before["recomputations"]
         assert client.stats()["memo"] is None

@@ -1,9 +1,10 @@
-"""The process-pool compute backend: byte-identity, isolation, crashes.
+"""Serving batches on the process pool: byte-identity, isolation, crashes.
 
-The serving contract extends to every worker count: a body computed in a
-pool worker (with its worker-lifetime memo) must be byte-identical to a
-cold direct façade call.  The crash tests pin the acceptance criterion
-that a worker death mid-batch never drops accepted requests.
+The serving contract extends to every worker count: a body computed by
+:func:`~repro.serve.daemon.compute_models` in a pool worker (with its
+worker-lifetime memo) must be byte-identical to a cold direct façade
+call.  The crash tests pin the acceptance criterion that a worker death
+mid-batch never drops accepted requests.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import pytest
 from repro.api.service import analyze, assign
 from repro.exec import PoolBackend
 from repro.scenarios.workload import scenario_request_pool
+from repro.serve.daemon import compute_models
 
 
 def _kill_worker(pid):
@@ -47,7 +49,7 @@ def pool():
 
 class TestByteIdentity:
     def test_analyze_matches_direct_facade(self, pool, systems):
-        results = pool.compute(("analyze",), systems)
+        results = compute_models(("analyze",), systems, pool=pool)
         assert [ok for ok, _, _ in results] == [True] * len(systems)
         direct = [analyze(system).report_json() for system in systems]
         assert [body for _, body, _ in results] == direct
@@ -55,17 +57,19 @@ class TestByteIdentity:
     def test_analyze_repeat_through_warm_memo_is_identical(
         self, pool, systems
     ):
-        first = pool.compute(("analyze",), systems)
-        second = pool.compute(("analyze",), systems)
+        first = compute_models(("analyze",), systems, pool=pool)
+        second = compute_models(("analyze",), systems, pool=pool)
         assert [b for _, b, _ in first] == [b for _, b, _ in second]
 
     def test_assign_matches_direct_facade(self, pool, systems):
-        results = pool.compute(("assign", None), systems)
+        results = compute_models(("assign", None), systems, pool=pool)
         direct = [assign(system).outcome_json() for system in systems]
         assert [body for _, body, _ in results] == direct
 
     def test_assign_with_algorithm(self, pool, systems):
-        results = pool.compute(("assign", "rate_monotonic"), systems)
+        results = compute_models(
+            ("assign", "rate_monotonic"), systems, pool=pool
+        )
         direct = [
             assign(system, algorithm="rate_monotonic").outcome_json()
             for system in systems
@@ -73,16 +77,19 @@ class TestByteIdentity:
         assert [body for _, body, _ in results] == direct
 
     def test_meta_carries_analysis_summary(self, pool, systems):
-        results = pool.compute(("analyze",), systems[:2])
+        results = compute_models(("analyze",), systems[:2], pool=pool)
         for _, body, meta in results:
             assert meta is not None and "summary" in meta
             assert meta["summary"]["stable"] == json.loads(body)["stable"]
+            # Deltas of the computing worker's own memo.
+            assert meta["memo_recomputations"] > 0
+            assert meta["memo_hits"] >= 0
 
     @pytest.mark.slow
     def test_four_workers_byte_identical(self, systems):
         backend = PoolBackend(4, memo_entries=4096)
         try:
-            results = backend.compute(("analyze",), systems)
+            results = compute_models(("analyze",), systems, pool=backend)
             direct = [analyze(system).report_json() for system in systems]
             assert [body for _, body, _ in results] == direct
         finally:
@@ -95,7 +102,7 @@ class TestIsolation:
         # come back as its own (False, error) without failing the
         # healthy batch-mates it was sliced alongside.
         batch = list(systems[:3]) + [None]
-        results = pool.compute(("analyze",), batch)
+        results = compute_models(("analyze",), batch, pool=pool)
         assert [ok for ok, _, _ in results] == [True, True, True, False]
         direct = [analyze(system).report_json() for system in systems[:3]]
         assert [body for _, body, _ in results[:3]] == direct
@@ -107,7 +114,7 @@ class TestCrashFailover:
         pids = pool.worker_pids()
         assert len(pids) == 2
         _kill_worker(pids[0])
-        results = pool.compute(("analyze",), systems)
+        results = compute_models(("analyze",), systems, pool=pool)
         # Every accepted item still answered, byte-identical.
         assert [ok for ok, _, _ in results] == [True] * len(systems)
         direct = [analyze(system).report_json() for system in systems]
@@ -118,9 +125,9 @@ class TestCrashFailover:
 
     def test_pool_recovers_after_crash(self, pool, systems):
         _kill_worker(pool.worker_pids()[0])
-        pool.compute(("analyze",), systems[:2])  # absorb the crash
+        compute_models(("analyze",), systems[:2], pool=pool)  # absorb the crash
         # The rebuilt pool serves normally again, workers alive.
-        results = pool.compute(("analyze",), systems)
+        results = compute_models(("analyze",), systems, pool=pool)
         assert all(ok for ok, _, _ in results)
         assert len(pool.worker_pids()) == 2
 
@@ -128,20 +135,35 @@ class TestCrashFailover:
         before = pool.stats()
         assert before["worker_crashes"] == 0
         _kill_worker(pool.worker_pids()[1])
-        pool.compute(("analyze",), systems)
+        compute_models(("analyze",), systems, pool=pool)
         after = pool.stats()
         assert after["worker_crashes"] >= 1
         assert after["failover_items"] >= 1
         assert after["batches"] == before["batches"] + 1
 
 
+class _RecordingPool:
+    """Stands in for a pool: records each plan's calls, runs them here."""
+
+    workers = 3
+
+    def __init__(self):
+        self.calls = []
+
+    def run(self, plan):
+        self.calls.append(plan.calls)
+        return [plan.fn(*call) for call in plan.calls]
+
+
 class TestSlicing:
     def test_contiguous_order_preserving_slices(self):
-        backend = PoolBackend(3, memo_entries=0)
-        try:
-            slices = backend._slice(list(range(8)))
-            assert [len(part) for part in slices] == [3, 3, 2]
-            assert [x for part in slices for x in part] == list(range(8))
-            assert backend._slice([1]) == [[1]]
-        finally:
-            backend.close()
+        pool = _RecordingPool()
+        results = compute_models(("analyze",), list(range(8)), pool=pool)
+        (calls,) = pool.calls
+        slices = [part for _, part in calls]
+        assert [len(part) for part in slices] == [3, 3, 2]
+        assert [x for part in slices for x in part] == list(range(8))
+        # Not systems: every payload fails alone, still in order.
+        assert [ok for ok, _, _ in results] == [False] * 8
+        compute_models(("analyze",), [1], pool=pool)
+        assert [part for _, part in pool.calls[-1]] == [[1]]
