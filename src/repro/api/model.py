@@ -15,6 +15,7 @@ report schema of :mod:`repro.api.report`), which is what the CLI's
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass, replace
@@ -33,6 +34,7 @@ from repro.jittermargin.linearbound import LinearStabilityBound
 from repro.rta.taskset import Task, TaskSet
 
 from repro.api.report import SCHEMA_VERSION
+from repro.api.wire import model_json
 
 #: Priority-assignment policies selectable by name.  ``as_given`` keeps
 #: the model's priorities (and rejects systems without a complete,
@@ -222,7 +224,7 @@ class ControlTaskSystem:
                 for coeff in ("a", "b"):
                     try:
                         coeff_value = float(stability[coeff])
-                    except (TypeError, ValueError):
+                    except (TypeError, ValueError, OverflowError):
                         continue  # the bound construction below reports these
                     if not math.isfinite(coeff_value):
                         raise ModelError(
@@ -238,7 +240,7 @@ class ControlTaskSystem:
                 raw = entry.get(field_name)
                 try:
                     value = float(raw) if raw is not None else None
-                except (TypeError, ValueError):
+                except (TypeError, ValueError, OverflowError):
                     continue  # the Task construction below reports these
                 if value is not None and not math.isfinite(value):
                     raise ModelError(
@@ -275,7 +277,7 @@ class ControlTaskSystem:
                         ),
                     )
                 )
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ModelError(
                     f"task entry {index} has a malformed field: {exc}"
                 ) from exc
@@ -291,10 +293,10 @@ class ControlTaskSystem:
         The input-side counterpart of the report's canonical form: two
         structurally identical systems -- whatever dict ordering or float
         spelling their source files used -- produce identical strings.
+        Written from the tasks in one pass (:func:`repro.api.wire
+        .model_json`), equal to ``canonical_dumps(self.to_dict())``.
         """
-        from repro.sweep.result import canonical_dumps
-
-        return canonical_dumps(self.to_dict())
+        return model_json(self)
 
     def canonical_sha256(self) -> str:
         """Content address of the model: the serve-layer cache key.
@@ -303,9 +305,7 @@ class ControlTaskSystem:
         priority policy, name), so equal hashes guarantee byte-identical
         analysis responses.
         """
-        from repro.sweep.result import canonical_sha256_of
-
-        return canonical_sha256_of(self.to_dict())
+        return hashlib.sha256(model_json(self).encode("utf-8")).hexdigest()
 
     @classmethod
     def from_json(cls, path: str) -> "ControlTaskSystem":

@@ -9,7 +9,10 @@ versioned canonical JSON schema (``schema_version`` +
 :mod:`repro.sweep.result`: sorted keys, compact separators, non-finite
 floats encoded as sentinel strings, atomic writes.  Two reports of the
 same system -- produced serially, in a process pool, or reloaded from
-disk -- are byte-identical in canonical form.
+disk -- are byte-identical in canonical form.  The served bytes
+(:meth:`AnalysisReport.report_json`) come from the typed encoder of
+:mod:`repro.api.wire`; ``_canonical_dict`` and the generic encoder stay
+the definition it is tested against.
 
 Schema note (sentinel escaping): string fields whose value reads as a
 non-finite sentinel (``"NaN"``/``"Infinity"``/``"-Infinity"``, optionally
@@ -24,6 +27,7 @@ of reports without colliding names are unchanged by the rule.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Tuple
@@ -33,8 +37,6 @@ from repro.jittermargin.linearbound import LinearStabilityBound
 from repro.rta.interface import ResponseTimes
 from repro.sweep.result import (
     atomic_write_text,
-    canonical_dumps,
-    canonical_json_with_hash,
     canonical_sha256_of,
     combined_sha256,
     decode_nonfinite,
@@ -245,7 +247,12 @@ class AnalysisReport:
         Matches :func:`repro.obs.window.summary_from_report_dict` parsed
         from the serialised report, so window records are identical
         whether a response was computed or replayed from the store.
+        After :meth:`report_json` this is the rollup its encoding pass
+        already computed (:mod:`repro.api.wire`), not a second walk.
         """
+        cached = self.__dict__.get("_cache_summary")
+        if cached is not None:
+            return dict(cached)
         return {
             "name": self.name,
             "n_tasks": self.n_tasks,
@@ -278,10 +285,12 @@ class AnalysisReport:
 
     def canonical_json(self) -> str:
         """Deterministic JSON (sorted keys, compact, sentinel non-finites)."""
-        return canonical_dumps(self._canonical_dict())
+        from repro.api.wire import report_body
+
+        return report_body(self)
 
     def canonical_sha256(self) -> str:
-        return canonical_sha256_of(self._canonical_dict())
+        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
 
     def to_dict(self) -> Dict[str, Any]:
         """Full schema dict: the canonical view plus its embedded hash."""
@@ -289,11 +298,18 @@ class AnalysisReport:
         payload["canonical_sha256"] = canonical_sha256_of(payload)
         return payload
 
-    def report_json(self) -> str:
-        # Single canonical-dict build + single encoding walk: the hot
-        # serving path serialises every computed response through here.
-        json_with_hash, _ = canonical_json_with_hash(self._canonical_dict())
-        return json_with_hash
+    def report_json(self, memo: Optional[Any] = None) -> str:
+        """The served bytes: canonical JSON with ``canonical_sha256`` embedded.
+
+        One typed encoding pass (:func:`repro.api.wire.report_json`),
+        byte-identical to ``canonical_json_with_hash(_canonical_dict())``.
+        ``memo`` (an :class:`~repro.memo.AnalysisMemo`) reuses the
+        encoded fragments of verdicts it has seen; without it every
+        verdict is encoded.
+        """
+        from repro.api.wire import report_json
+
+        return report_json(self, memo)
 
     def write(self, path: str) -> None:
         """Write the report atomically (temp file + rename), indented."""

@@ -33,9 +33,11 @@ for the subproblems whose ``(task, hp-set)`` key is actually new.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Union
 
+from repro.api import wire
 from repro.api.model import ControlTaskSystem, as_system
 from repro.api.report import SCHEMA_VERSION, AnalysisReport, TaskVerdict
 from repro.errors import ModelError
@@ -204,16 +206,14 @@ class AssignmentOutcome:
         The serialisation the serve layer ships over the wire: identical
         outcomes -- computed directly, batched, or replayed from the
         daemon's content-addressed store -- are byte-identical here.
+        One typed pass (:func:`repro.api.wire.outcome_json`), equal to
+        ``canonical_dumps(self.to_dict())``.
         """
-        from repro.sweep.result import canonical_dumps
-
-        return canonical_dumps(self.to_dict())
+        return wire.outcome_json(self)
 
     def canonical_sha256(self) -> str:
         """Hash of the outcome's canonical JSON form (wall-clock excluded)."""
-        from repro.sweep.result import canonical_sha256_of
-
-        return canonical_sha256_of(self.to_dict())
+        return hashlib.sha256(self.outcome_json().encode("utf-8")).hexdigest()
 
     def render(self) -> str:
         result = self.result

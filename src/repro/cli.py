@@ -369,8 +369,9 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--batch-window",
         type=float,
-        default=0.005,
-        help="seconds to coalesce concurrent requests into one batch",
+        default=None,
+        help="seconds to coalesce concurrent requests into one batch "
+        "(default: 0 at --jobs 1, 0.005 under --jobs N)",
     )
     serve.add_argument(
         "--max-batch", type=int, default=64, help="requests per batch cap"

@@ -15,6 +15,10 @@ codesign loop):
   enumerate hp-sets in task-set order (the facade and every algorithm
   except the exhaustive permutation scan) therefore observe floats
   bit-identical to the scalar seed path.
+* **fragments** -- a bounded store of encoded verdict fragments
+  (:meth:`AnalysisMemo.fragments`), so a served report re-encodes only
+  the verdicts it does not share with earlier reports
+  (:func:`repro.api.wire.report_json`).
 * **counters** -- each run carries its own :class:`EvaluationCounter`;
   ``count`` is the paper's logical metric (every predicate query ticks,
   memo hit or not), ``hits`` tallies memo hits, and ``recomputations =
@@ -26,11 +30,12 @@ default; passing one memo across several runs (or several task sets, in
 codesign and the serve daemon) is what unlocks the sharing.
 
 Process-lifetime use: pass ``max_entries`` to bound the subproblem memo
--- least-recently-used entries are evicted past the bound (interned task
-records are tiny and are kept unbounded).  All mutating operations and
-``stats()`` snapshots are serialised on an internal lock, so one memo
-may be shared between the serve daemon's event loop, its dispatch
-worker, and direct facade calls without lost counter updates.
+and the fragment store -- least-recently-used entries are evicted past
+the bound (interned task records are tiny and are kept unbounded).  All
+mutating operations and ``stats()`` snapshots are serialised on an
+internal lock, so one memo may be shared between the serve daemon's
+event loop, its dispatch worker, and direct facade calls without lost
+counter updates.
 """
 
 from __future__ import annotations
@@ -39,7 +44,17 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Hashable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import ModelError
 from repro.memo.kernels import TaskRecord, evaluate_candidate, make_record
@@ -111,6 +126,12 @@ class AnalysisMemo:
         #: two ``perf_counter`` calls per miss, negligible next to the
         #: kernel itself, so the timing is always on.
         self.kernel_seconds = 0.0
+        #: Encoded verdict fragments of served reports
+        #: (:func:`repro.api.wire.report_json`), LRU-bounded by
+        #: ``max_entries`` like the subproblem memo.
+        self._fragments: "OrderedDict[Hashable, Any]" = OrderedDict()
+        self.fragment_hits = 0
+        self.fragment_misses = 0
 
     # -- interning -----------------------------------------------------------
     def intern(self, task: Task) -> int:
@@ -182,7 +203,42 @@ class AnalysisMemo:
                 "cache_hits": self.total.hits,
                 "recomputations": self.total.recomputations,
                 "kernel_seconds": self.kernel_seconds,
+                "fragment_entries": len(self._fragments),
+                "fragment_hits": self.fragment_hits,
+                "fragment_misses": self.fragment_misses,
             }
+
+    # -- encoded fragments ---------------------------------------------------
+    def fragments(
+        self, keys: Sequence[Hashable], encode: Callable[[int], Any]
+    ) -> List[Any]:
+        """The stored value of every key; a miss stores ``encode(index)``.
+
+        The serving layer's verdict fragments, one lock round trip per
+        report (as :meth:`intern_all`).  ``encode`` runs under the lock,
+        so it must not call back into the memo; an exception from it
+        propagates and leaves every fragment stored so far in place.
+        """
+        values: List[Any] = []
+        bounded = self.max_entries is not None
+        with self._lock:
+            store = self._fragments
+            hits = 0
+            for index, key in enumerate(keys):
+                value = store.get(key)
+                if value is None:
+                    value = store[key] = encode(index)
+                else:
+                    hits += 1
+                    if bounded:
+                        store.move_to_end(key)
+                values.append(value)
+            self.fragment_hits += hits
+            self.fragment_misses += len(values) - hits
+            if bounded:
+                while len(store) > self.max_entries:
+                    store.popitem(last=False)
+        return values
 
     # -- whole-taskset analysis ---------------------------------------------
     def population_analysis(

@@ -32,8 +32,12 @@ byte-identical to direct façade calls.
 Three mechanics keep repeated work off the hot path:
 
 1. **Coalescing + micro-batching** (:mod:`repro.serve.batcher`):
-   requests arriving within ``--batch-window`` are grouped into one
-   dispatch; identical models in a batch are computed once.
+   requests queued while the dispatch thread is busy are grouped into
+   one dispatch, and identical models in a batch are computed once.
+   Under ``--jobs N`` the batcher also waits up to ``--batch-window``
+   (default 5 ms) for batch-mates to split across the workers; at
+   ``--jobs 1``, where a batch is computed model by model, the default
+   window is 0 and a lone request is dispatched at once.
 2. **Content-addressed store** (:mod:`repro.serve.store`): responses are
    cached under the model's ``canonical_sha256`` (in-memory LRU +
    optional disk tier under ``--cache-dir``), so repeated models are
@@ -103,6 +107,10 @@ class _HttpError(Exception):
 #: Upper bound on accepted request bodies (a 10k-task model is ~1 MB).
 MAX_BODY_BYTES = 16 * 1024 * 1024
 
+#: Default batch window under ``--jobs N``, where a batch is split
+#: across the pool's workers; at ``--jobs 1`` the default is 0.
+POOLED_BATCH_WINDOW = 0.005
+
 #: Bodies above this parse + hash off-loop (asyncio.to_thread): a
 #: multi-MB model would otherwise stall every concurrent handler for the
 #: json.loads + canonical-dump duration.  Typical models are a few KB
@@ -112,6 +120,29 @@ OFFLOAD_PARSE_BYTES = 256 * 1024
 
 def _json_body(payload: Dict[str, Any]) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One request or header line; a 400 past the reader's line limit."""
+    try:
+        return await reader.readline()
+    except ValueError:  # StreamReader's limit (64 KiB by default)
+        raise _HttpError(
+            400, _json_body({"error": "request or header line too long"})
+        ) from None
+
+
+def _load_json(body: bytes) -> Any:
+    """A request body as JSON; any malformed body is a ``ValueError``.
+
+    ``json.loads`` on bytes also raises ``UnicodeDecodeError`` (bad
+    UTF-8), a plain ``ValueError`` (an integer past the digit limit) and
+    ``RecursionError`` (nesting too deep) -- each one a bad request.
+    """
+    try:
+        return json.loads(body)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 #: One computed response: ``(ok, body, meta)``.
@@ -131,6 +162,11 @@ def compute_model(
     its validation analysis through the memo: a warm *search* memo
     would change the outcome's canonical ``cache_hits`` and break byte
     identity with cold façade calls.
+
+    Every body is one typed encoding pass (:mod:`repro.api.wire`).  An
+    analyze body reuses the verdict fragments in ``memo``, so an edited
+    model re-encodes only the verdicts that changed, and its summary is
+    the rollup of that same pass.
     """
     before = None if memo is None else memo.stats()
     meta: Dict[str, Any] = {}
@@ -140,7 +176,7 @@ def compute_model(
     try:
         if group[0] == "analyze":
             report = analyze(system, memo=memo)
-            body = report.report_json()
+            body = report.report_json(memo=memo)
             meta["summary"] = report.summary()
         else:
             body = assign(
@@ -206,7 +242,7 @@ class AnalysisDaemon:
         *,
         jobs: int = 1,
         cache_dir: Optional[str] = None,
-        batch_window: float = 0.005,
+        batch_window: Optional[float] = None,
         max_batch: int = 64,
         store_entries: int = 1024,
         read_timeout: float = 30.0,
@@ -255,6 +291,11 @@ class AnalysisDaemon:
         #: by this (it starts after the body arrived).
         self.read_timeout = read_timeout
         self.store = ResultStore(max_entries=store_entries, cache_dir=cache_dir)
+        if batch_window is None:
+            # At --jobs 1 a batch is computed model by model, so waiting
+            # for batch-mates buys nothing; requests queued while the
+            # dispatch thread is busy are still drained and coalesced.
+            batch_window = 0.0 if self.pool is None else POOLED_BATCH_WINDOW
         self.batcher = MicroBatcher(
             self._dispatch, window=batch_window, max_batch=max_batch
         )
@@ -503,25 +544,33 @@ class AnalysisDaemon:
         self, reader: asyncio.StreamReader
     ) -> Tuple[str, str, bytes]:
         """Receive one request; raises :class:`_HttpError` on bad input."""
-        request_line = (await reader.readline()).decode("latin-1").strip()
+        request_line = (await _read_line(reader)).decode("latin-1").strip()
         parts = request_line.split()
         if len(parts) != 3:
             raise _HttpError(
                 400, _json_body({"error": f"malformed request line {request_line!r}"})
             )
         method, target, _ = parts
+        try:
+            urlsplit(target)
+        except ValueError as exc:
+            raise _HttpError(
+                400, _json_body({"error": f"malformed request target: {exc}"})
+            ) from None
         headers: Dict[str, str] = {}
         while True:
-            line = await reader.readline()
+            line = await _read_line(reader)
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        try:
-            length = int(headers.get("content-length", "0"))
-        except ValueError:
-            raise _HttpError(400, _json_body({"error": "bad Content-Length"})) from None
-        if length < 0 or length > MAX_BODY_BYTES:
+        length_text = headers.get("content-length", "0")
+        # RFC 9110: 1*DIGIT, ASCII only -- int() would also take signs,
+        # underscores and non-ASCII digits.
+        if not (length_text.isascii() and length_text.isdigit()):
+            raise _HttpError(400, _json_body({"error": "bad Content-Length"}))
+        length = int(length_text)
+        if length > MAX_BODY_BYTES:
             raise _HttpError(
                 400,
                 _json_body(
@@ -631,8 +680,8 @@ class AnalysisDaemon:
         only, serving behaviour never branches on it.
         """
         try:
-            data = json.loads(body) if body.strip() else {}
-        except json.JSONDecodeError as exc:
+            data = _load_json(body) if body.strip() else {}
+        except ValueError as exc:
             self.errors += 1
             return 400, _json_body({"error": f"body is not valid JSON: {exc}"})
         if not isinstance(data, dict):
@@ -670,7 +719,7 @@ class AnalysisDaemon:
                 data.get("horizon_periods", DEFAULT_HORIZON_PERIODS)
             )
             limit = int(data.get("limit", 8))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             self.errors += 1
             return 400, _json_body(
                 {"error": "window/horizon_periods/limit must be integers"}
@@ -742,7 +791,7 @@ class AnalysisDaemon:
     @staticmethod
     def _parse_model(body: bytes) -> Tuple[ControlTaskSystem, str, Dict]:
         """Body bytes -> (system, content hash, raw dict); raises on bad input."""
-        data = json.loads(body)
+        data = _load_json(body)
         if not isinstance(data, dict):
             raise ModelError("body must be a single system-model object")
         system = ControlTaskSystem.from_dict(data)
@@ -759,12 +808,12 @@ class AnalysisDaemon:
                 )
             else:
                 system, sha, raw = self._parse_model(body)
-        except json.JSONDecodeError as exc:
-            self.errors += 1
-            return 400, _json_body({"error": f"body is not valid JSON: {exc}"})
         except ModelError as exc:
             self.errors += 1
             return 400, _json_body({"error": str(exc)})
+        except (ValueError, RecursionError) as exc:
+            self.errors += 1
+            return 400, _json_body({"error": f"body is not valid JSON: {exc}"})
         trace.add_span(
             "parse_model", time.perf_counter() - parse_start, bytes=len(body)
         )
@@ -789,8 +838,8 @@ class AnalysisDaemon:
         from repro.scenarios import scenario_names
 
         try:
-            data = json.loads(body)
-        except json.JSONDecodeError as exc:
+            data = _load_json(body)
+        except ValueError as exc:
             self.errors += 1
             return 400, _json_body({"error": f"body is not valid JSON: {exc}"})
         if not isinstance(data, dict) or "scenario" not in data:
@@ -810,7 +859,7 @@ class AnalysisDaemon:
         try:
             instances = int(data.get("instances", 8))
             seed = int(data.get("seed", 7))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             self.errors += 1
             return 400, _json_body({"error": "instances/seed must be integers"})
         if not (1 <= instances <= 4096):

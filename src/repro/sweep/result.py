@@ -147,9 +147,10 @@ def canonical_json_with_hash(
     Byte-identical to ``canonical_dumps({**payload, key:
     canonical_sha256_of(payload)})`` while walking the payload only
     once: a hex digest never needs sentinel escaping, so the encoded
-    tree can be extended in place before the final dump.  This is the
-    hot path of every served response (the report/outcome schemas embed
-    their content address), where the saved encoding walk is material.
+    tree can be extended in place before the final dump.  Its callers
+    are the anomaly-detector reports; served reports and outcomes have
+    typed encoders (:mod:`repro.api.wire`) that this function checks
+    (``tests/api/test_wire_bytes.py``).
 
     Returns ``(json_with_hash, sha)``.
     """

@@ -86,12 +86,18 @@ class TestStatsSnapshot:
             "cache_hits",
             "recomputations",
             "kernel_seconds",
+            "fragment_entries",
+            "fragment_hits",
+            "fragment_misses",
         }
         assert stats["evaluations"] == 8
         assert stats["cache_hits"] == 4
         assert stats["recomputations"] == 4
         assert stats["memo_entries"] == 4
         assert stats["kernel_seconds"] > 0.0
+        # No report was encoded through this memo.
+        assert stats["fragment_entries"] == 0
+        assert stats["fragment_hits"] == stats["fragment_misses"] == 0
 
     def test_totals_aggregate_across_concurrent_runs(self):
         """No lost counter updates when runs execute on many threads.

@@ -21,6 +21,7 @@ from repro.serve import (
     run_daemon_in_thread,
     wait_until_ready,
 )
+from repro.serve.daemon import POOLED_BATCH_WINDOW
 
 EXAMPLE = os.path.join(
     os.path.dirname(__file__), "..", "..", "examples", "system.json"
@@ -375,6 +376,17 @@ class TestRequestRobustness:
 
 
 class TestTopology:
+    def test_default_batch_window_follows_topology(self):
+        # --jobs 1 computes a batch model by model: no idle window.
+        assert AnalysisDaemon(port=0).batcher.window == 0.0
+        pooled = AnalysisDaemon(port=0, jobs=2)
+        try:
+            assert pooled.batcher.window == POOLED_BATCH_WINDOW == 0.005
+        finally:
+            pooled.pool.close()
+        # An explicit window keeps its meaning at any topology.
+        assert AnalysisDaemon(port=0, batch_window=0.002).batcher.window == 0.002
+
     def test_serial_topology_in_stats(self, daemon_client):
         _, client = daemon_client
         topology = client.stats()["topology"]
