@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import analyze
 from repro.assignment.audsley import assign_audsley
 from repro.assignment.backtracking import assign_backtracking
 from repro.assignment.exhaustive import assign_exhaustive
 from repro.assignment.heuristics import assign_rate_monotonic, assign_slack_monotonic
-from repro.assignment.validate import validate_assignment
 
 ALGORITHMS = {
     "backtracking": assign_backtracking,
@@ -36,14 +36,14 @@ def test_ablation_assigner_runtime(benchmark, benchmark_instances, algorithm):
     valid = sum(
         1
         for ts, r in zip(instances, results)
-        if r.priorities is not None and validate_assignment(r.apply_to(ts)).valid
+        if r.priorities is not None and analyze(r.apply_to(ts)).stable
     )
     print(f"\n{algorithm}: {valid}/{len(instances)} valid assignments")
     if algorithm in ("backtracking", "audsley"):
         # Sound algorithms: every claimed success validates.
         for ts, r in zip(instances, results):
             if r.priorities is not None and r.claims_valid:
-                assert validate_assignment(r.apply_to(ts)).valid
+                assert analyze(r.apply_to(ts)).stable
 
 
 def test_ablation_exhaustive_ground_truth(benchmark, benchmark_instances):

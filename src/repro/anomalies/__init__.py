@@ -17,7 +17,7 @@ its latency/jitter interface and destabilise its plant.
   (executable counterparts of the examples in [20]).
 """
 
-from repro.anomalies.census import AnomalyCensus, run_anomaly_census
+from repro.anomalies.census import AnomalyCensus
 from repro.anomalies.detectors import (
     all_anomalies,
     jitter_after_priority_raise,
@@ -44,7 +44,6 @@ __all__ = [
     "wcet_decrease_anomalies",
     "period_increase_anomalies",
     "AnomalyCensus",
-    "run_anomaly_census",
     "find_priority_raise_anomaly",
     "priority_raise_anomaly_example",
     "wcet_scaling_margin",

@@ -96,36 +96,6 @@ def census_benchmark(
     return BenchmarkCensus(feasible=True, moves_checked=checked, events=events)
 
 
-def run_anomaly_census(
-    n_tasks: int,
-    benchmarks: int,
-    *,
-    seed: int = 99,
-    config: Optional[BenchmarkConfig] = None,
-    keep_events: bool = False,
-) -> AnomalyCensus:
-    """Generate benchmarks, assign priorities, and count anomalous moves.
-
-    Only feasible benchmarks (backtracking finds a valid assignment) are
-    probed -- the anomaly question is about perturbing *working* designs.
-    """
-    census = AnomalyCensus()
-    config = config or BenchmarkConfig()
-    for index in range(benchmarks):
-        single = census_benchmark(n_tasks, index, seed=seed, config=config)
-        census.benchmarks += 1
-        if not single.feasible:
-            continue
-        census.feasible += 1
-        for kind, checked in single.moves_checked.items():
-            census.record(
-                kind, checked, [e for e in single.events if e.kind == kind]
-            )
-        if not keep_events:
-            census.events.clear()
-    return census
-
-
 def _interferer_pairs(n: int) -> int:
     """Ordered (interferer, observed) pairs with observed lower priority."""
     return n * (n - 1) // 2

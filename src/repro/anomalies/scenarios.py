@@ -187,7 +187,8 @@ def find_priority_raise_anomaly(
       ``(seed=FIXTURE_SEARCH_SEED, trials=FIXTURE_SEARCH_TRIALS)``.
       Hits are always destabilising and always valid before the raise.
     """
-    from repro.assignment.validate import validate_assignment
+    # Imported lazily: the façade sits above this package.
+    from repro.api.service import analyze
 
     rng = np.random.default_rng(seed)
     for _ in range(trials):
@@ -199,7 +200,7 @@ def find_priority_raise_anomaly(
             pinned = _pin_fixture_budget(taskset, a)
             if pinned is None:
                 continue
-            if not validate_assignment(pinned).valid:
+            if not analyze(pinned).stable:
                 continue
             events = priority_raise_anomalies(pinned)
             if any(e.task_name == "ctl" and e.destabilising for e in events):

@@ -36,11 +36,10 @@ from repro.errors import ModelError
 from repro.jittermargin.linearbound import LinearStabilityBound
 from repro.rta.interface import ResponseTimes
 from repro.sweep.result import (
-    atomic_write_text,
+    atomic_write_json,
     canonical_sha256_of,
     combined_sha256,
     decode_nonfinite,
-    encode_nonfinite,
 )
 
 #: Version of the report (and system-model) JSON schema.  Bump on any
@@ -68,8 +67,7 @@ class TaskVerdict:
       for bounded tasks that miss their deadline, and the signed margin
       ``b - L - a J`` otherwise;
     * ``stable`` is vacuously ``True`` without a bound (deadline misses
-      are reported through ``deadline_met``/``ok``), matching
-      :func:`repro.assignment.validate.validate_assignment`.
+      are reported through ``deadline_met``/``ok``).
     """
 
     name: str
@@ -313,7 +311,7 @@ class AnalysisReport:
 
     def write(self, path: str) -> None:
         """Write the report atomically (temp file + rename), indented."""
-        _atomic_write_json(path, self.to_dict())
+        atomic_write_json(path, self.to_dict())
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "AnalysisReport":
@@ -395,11 +393,4 @@ def batch_report_dict(reports: Sequence[AnalysisReport]) -> Dict[str, Any]:
 
 def write_batch_report(reports: Sequence[AnalysisReport], path: str) -> None:
     """Write the batch envelope atomically."""
-    _atomic_write_json(path, batch_report_dict(reports))
-
-
-def _atomic_write_json(path: str, payload: Dict[str, Any]) -> None:
-    text = json.dumps(
-        encode_nonfinite(payload), indent=2, sort_keys=True, allow_nan=False
-    )
-    atomic_write_text(path, text + "\n")
+    atomic_write_json(path, batch_report_dict(reports))

@@ -431,16 +431,15 @@ def write_assign_report(
     per-outcome canonical hashes, so two batch artifacts compare by a
     single field regardless of job count (the sweep-artifact convention).
     """
-    from repro.api.report import _atomic_write_json
-    from repro.sweep.result import combined_sha256
+    from repro.sweep.result import atomic_write_json, combined_sha256
 
     if batch is None:
         batch = len(outcomes) > 1
     if not batch:
-        _atomic_write_json(path, outcomes[0].to_dict())
+        atomic_write_json(path, outcomes[0].to_dict())
         return
     shas = [outcome.canonical_sha256() for outcome in outcomes]
-    _atomic_write_json(
+    atomic_write_json(
         path,
         {
             "schema_version": SCHEMA_VERSION,

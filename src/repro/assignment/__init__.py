@@ -17,8 +17,9 @@ holds under the exact response-time interface.
   small ``n``.
 * :mod:`~repro.assignment.heuristics` -- rate-monotonic and
   slack-monotonic orderings (ablation baselines).
-* :mod:`~repro.assignment.validate` -- exact validity verdict of a
-  complete assignment.
+
+The exact validity verdict of a complete assignment is
+``repro.api.analyze(taskset).stable``.
 
 All algorithms report the number of stability-constraint evaluations they
 performed, the currency in which the paper measures design complexity.
@@ -38,9 +39,8 @@ from repro.assignment.heuristics import (
     assign_rate_monotonic,
     assign_slack_monotonic,
 )
-from repro.assignment.result import AssignmentResult
 from repro.assignment.unsafe_quadratic import assign_unsafe_quadratic
-from repro.assignment.validate import ValidationReport, validate_assignment
+from repro.search.result import AssignmentResult
 
 __all__ = [
     "AssignmentResult",
@@ -51,6 +51,4 @@ __all__ = [
     "count_valid_orders",
     "assign_rate_monotonic",
     "assign_slack_monotonic",
-    "validate_assignment",
-    "ValidationReport",
 ]

@@ -68,8 +68,7 @@ The ``obs`` subcommand group fronts the observability layer
 metrics scrape, on-demand detection over a running daemon's report
 window, and offline event-log replay::
 
-    python -m repro serve --log-json --event-log events.jsonl \
-        --detect-interval 30
+    python -m repro serve --log-json --event-log events.jsonl
     python -m repro obs detectors
     python -m repro obs metrics
     python -m repro obs detect --revalidate --out findings.json
@@ -374,15 +373,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default: 0 at --jobs 1, 0.005 under --jobs N)",
     )
     serve.add_argument(
-        "--max-batch", type=int, default=64, help="requests per batch cap"
-    )
-    serve.add_argument(
-        "--store-entries",
-        type=int,
-        default=1024,
-        help="in-memory response-store capacity",
-    )
-    serve.add_argument(
         "--memo-entries",
         type=int,
         default=65536,
@@ -404,37 +394,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="emit structured JSON-lines logs instead of text",
     )
     serve.add_argument(
-        "--obs-window",
-        type=int,
-        default=2048,
-        help="analysis reports kept in the anomaly-detection window",
-    )
-    serve.add_argument(
         "--event-log",
         type=str,
         default=None,
         help="append request traces and detector findings to this "
         "JSON-lines file",
-    )
-    serve.add_argument(
-        "--detect-interval",
-        type=float,
-        default=0.0,
-        help="seconds between background anomaly-detector passes "
-        "(0 disables; detectors stay available via POST /v1/detect)",
-    )
-    serve.add_argument(
-        "--detect-revalidate",
-        action="store_true",
-        help="replay models flagged by the background detector pass "
-        "through the Monte-Carlo validation harness",
-    )
-    serve.add_argument(
-        "--detect-out",
-        type=str,
-        default=None,
-        help="append each background detector pass's canonical findings "
-        "to this JSON-lines file (the alerting/export hook)",
     )
     serve.add_argument(
         "--window-file",
@@ -519,7 +483,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     obs_detect.add_argument(
         "--detectors", type=str, nargs="+", default=None,
-        help="run only these detectors (default: the full registry)",
+        help="run only these detectors (default: all of them)",
     )
     obs_detect.add_argument(
         "--revalidate", action="store_true",
@@ -662,18 +626,11 @@ def _run_scenarios_command(args: argparse.Namespace) -> int:
         print()
     if args.out:
         if args.all or len(reports) > 1:
-            from repro.sweep.result import encode_nonfinite
+            from repro.sweep.result import atomic_write_json
 
-            payload = json.dumps(
-                encode_nonfinite(
-                    {name: v.to_report() for name, v in reports.items()}
-                ),
-                indent=2,
-                sort_keys=True,
-                allow_nan=False,
+            atomic_write_json(
+                args.out, {name: v.to_report() for name, v in reports.items()}
             )
-            with open(args.out, "w") as handle:
-                handle.write(payload + "\n")
         else:
             next(iter(reports.values())).write(args.out)
         print(f"[report written to {args.out}]")
@@ -825,14 +782,8 @@ def _run_serve_command(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         batch_window=args.batch_window,
-        max_batch=args.max_batch,
-        store_entries=args.store_entries,
         memo_entries=args.memo_entries,
-        obs_window=args.obs_window,
         event_log=args.event_log,
-        detect_interval=args.detect_interval,
-        detect_revalidate=args.detect_revalidate,
-        detect_out=args.detect_out,
         window_file=args.window_file,
     )
 
@@ -894,8 +845,9 @@ def _run_request_command(args: argparse.Namespace) -> int:
                 return 2
             print(text)
             if args.out:
-                with open(args.out, "wb") as handle:
-                    handle.write(body + b"\n")
+                from repro.sweep.result import atomic_write_text
+
+                atomic_write_text(args.out, text + "\n")
                 print(f"[response written to {args.out}]", file=sys.stderr)
             return 0
     except ServeClientError as error:
@@ -914,7 +866,7 @@ def _run_request_command(args: argparse.Namespace) -> int:
         print(f"request: {loaded}", file=sys.stderr)
         return 2
 
-    bodies: List[bytes] = []
+    texts: List[str] = []
     all_ok = True
     try:
         for k, entry in enumerate(loaded):
@@ -938,7 +890,7 @@ def _run_request_command(args: argparse.Namespace) -> int:
             # The body is the exact canonical façade serialisation --
             # print it untouched so shell pipelines see the real bytes.
             print(text)
-            bodies.append(body)
+            texts.append(text)
             response = json.loads(text)
             all_ok = all_ok and bool(
                 response.get("ok" if args.assign else "stable")
@@ -948,13 +900,10 @@ def _run_request_command(args: argparse.Namespace) -> int:
         return 2
 
     if args.out:
-        with open(args.out, "wb") as handle:
-            if batch:
-                handle.write(
-                    b"[\n" + b",\n".join(bodies) + b"\n]\n"
-                )
-            else:
-                handle.write(bodies[0] + b"\n")
+        from repro.sweep.result import atomic_write_text
+
+        payload = "[\n" + ",\n".join(texts) + "\n]" if batch else texts[0]
+        atomic_write_text(args.out, payload + "\n")
         print(f"[response written to {args.out}]", file=sys.stderr)
     return 0 if all_ok else 1
 
@@ -972,7 +921,7 @@ def _run_obs_command(args: argparse.Namespace) -> int:
                     (d["name"], f"v{d['algorithm_version']}", d["description"])
                     for d in catalogue
                 ],
-                title=f"Registered anomaly detectors ({len(catalogue)})",
+                title=f"Anomaly detectors ({len(catalogue)})",
             )
         )
         return 0
@@ -1008,8 +957,9 @@ def _run_obs_command(args: argparse.Namespace) -> int:
             return 2
         print(text)
         if args.out:
-            with open(args.out, "wb") as handle:
-                handle.write(body + b"\n")
+            from repro.sweep.result import atomic_write_text
+
+            atomic_write_text(args.out, text + "\n")
             print(f"[report written to {args.out}]", file=sys.stderr)
         report = json.loads(text)
         return 0 if report.get("n_findings", 0) == 0 else 1

@@ -10,8 +10,8 @@ The observability layer of the serving stack (ROADMAP item 5):
   ``X-Repro-Trace-Id`` and a JSON-lines event log;
 * :mod:`repro.obs.window` -- the rolling window of served analysis
   outcomes the detectors watch;
-* :mod:`repro.obs.detectors` -- pure, versioned, batch-capable anomaly
-  detectors emitting canonical-JSON advisory findings
+* :mod:`repro.obs.detectors` -- a fixed catalogue of pure, versioned
+  anomaly detectors emitting canonical-JSON advisory findings
   (``POST /v1/detect``);
 * :mod:`repro.obs.revalidate` -- replay of detector-flagged models
   through the Monte-Carlo validation harness;
@@ -39,7 +39,6 @@ from repro.obs.detectors import (
     detector_catalogue,
     detector_names,
     get_detector,
-    register_detector,
 )
 from repro.obs.logs import configure_serve_logging, serve_logger
 from repro.obs.metrics import (
@@ -89,7 +88,6 @@ __all__ = [
     "next_trace_id",
     "percentile",
     "read_events",
-    "register_detector",
     "render_stats_gauges",
     "revalidate_flagged",
     "revalidate_model",

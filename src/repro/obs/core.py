@@ -29,17 +29,9 @@ from repro.obs.window import ReportWindow
 class Observability:
     """Telemetry state of one serving daemon."""
 
-    def __init__(
-        self,
-        *,
-        window_entries: int = 2048,
-        model_entries: int = 512,
-        event_log_path: Optional[str] = None,
-    ):
+    def __init__(self, *, event_log_path: Optional[str] = None):
         self.registry = MetricsRegistry()
-        self.window = ReportWindow(
-            max_entries=window_entries, model_entries=model_entries
-        )
+        self.window = ReportWindow()
         self.event_log: Optional[EventLog] = (
             EventLog(event_log_path) if event_log_path else None
         )
@@ -70,7 +62,7 @@ class Observability:
         )
         self._detector_runs = self.registry.counter(
             "repro_detector_runs_total",
-            "Detector executions via /v1/detect or the background loop.",
+            "Detector executions via /v1/detect.",
         )
         self._detector_findings = self.registry.counter(
             "repro_detector_findings_total",
@@ -105,28 +97,6 @@ class Observability:
             self._stages.observe_key((span["stage"],), span["seconds"])
         if self.event_log is not None:
             self.event_log.emit_trace(trace)
-
-    # -- analysis window -----------------------------------------------------
-    def record_analysis(
-        self,
-        sha: str,
-        summary: Optional[Mapping[str, Any]],
-        *,
-        source: str,
-        latency_seconds: Optional[float] = None,
-        memo_hits: Optional[int] = None,
-        memo_recomputations: Optional[int] = None,
-        trace_id: Optional[str] = None,
-    ) -> None:
-        self.window.record(
-            sha,
-            summary,
-            source=source,
-            latency_seconds=latency_seconds,
-            memo_hits=memo_hits,
-            memo_recomputations=memo_recomputations,
-            trace_id=trace_id,
-        )
 
     # -- detectors -----------------------------------------------------------
     def run_detectors(

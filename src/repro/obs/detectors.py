@@ -1,4 +1,4 @@
-"""Pure, versioned, batch-capable anomaly detectors over served traffic.
+"""Pure, versioned anomaly detectors over served traffic.
 
 Each :class:`Detector` is a pure function of a window of
 :mod:`repro.obs.window` records: same window in, byte-identical
@@ -9,8 +9,9 @@ deployments (the interface pattern of SNIPPETS.md snippets 2-3).
 
 Findings are **advisory only**: the daemon reports them via
 ``POST /v1/detect`` and the event log but never changes serving
-behaviour because of one.  The shipped catalogue watches the four
-failure modes ROADMAP item 5 names:
+behaviour because of one.  The catalogue is fixed: four detectors, each
+with its thresholds as class attributes, watching the four failure
+modes ROADMAP item 5 names:
 
 * :class:`VerdictDriftDetector` -- served verdicts staying "stable"
   while the minimum relative stability margin collapses against the
@@ -79,9 +80,9 @@ class Finding:
 
 
 class Detector(ABC):
-    """A pure, versioned batch detector over window records."""
+    """A pure, versioned detector over window records."""
 
-    #: Registry key; stable across versions.
+    #: Catalogue key; stable across versions.
     name: str = ""
     #: Bumped on ANY change to the detector's maths or thresholds.
     algorithm_version: int = 1
@@ -90,12 +91,6 @@ class Detector(ABC):
     @abstractmethod
     def detect(self, records: Sequence[Mapping[str, Any]]) -> List[Finding]:
         """Findings over one window snapshot (possibly empty)."""
-
-    def detect_batch(
-        self, windows: Sequence[Sequence[Mapping[str, Any]]]
-    ) -> List[List[Finding]]:
-        """Vector form: one findings list per window, order preserved."""
-        return [self.detect(window) for window in windows]
 
 
 def _round(value: float, digits: int = 9) -> float:
@@ -142,18 +137,10 @@ class VerdictDriftDetector(Detector):
         "vs the baseline half of the window"
     )
 
-    def __init__(
-        self,
-        *,
-        min_records: int = 16,
-        drop_ratio: float = 0.5,
-        stable_floor: float = 0.5,
-        flag_band: float = 0.1,
-    ):
-        self.min_records = min_records
-        self.drop_ratio = drop_ratio
-        self.stable_floor = stable_floor
-        self.flag_band = flag_band
+    min_records = 16
+    drop_ratio = 0.5
+    stable_floor = 0.5
+    flag_band = 0.1
 
     def detect(self, records: Sequence[Mapping[str, Any]]) -> List[Finding]:
         if len(records) < self.min_records:
@@ -224,18 +211,10 @@ class NearBoundaryPileupDetector(Detector):
         "near-boundary band rises above threshold and baseline"
     )
 
-    def __init__(
-        self,
-        *,
-        band: float = 0.05,
-        threshold: float = 0.3,
-        min_rise: float = 0.1,
-        min_records: int = 16,
-    ):
-        self.band = band
-        self.threshold = threshold
-        self.min_rise = min_rise
-        self.min_records = min_records
+    band = 0.05
+    threshold = 0.3
+    min_rise = 0.1
+    min_records = 16
 
     def _in_band_fraction(
         self, records: Sequence[Mapping[str, Any]]
@@ -298,16 +277,9 @@ class LatencyRegressionDetector(Detector):
         "the regression ratio"
     )
 
-    def __init__(
-        self,
-        *,
-        ratio: float = 2.0,
-        min_records: int = 16,
-        min_baseline_seconds: float = 1e-5,
-    ):
-        self.ratio = ratio
-        self.min_records = min_records
-        self.min_baseline_seconds = min_baseline_seconds
+    ratio = 2.0
+    min_records = 16
+    min_baseline_seconds = 1e-5
 
     def detect(self, records: Sequence[Mapping[str, Any]]) -> List[Finding]:
         if len(records) < self.min_records:
@@ -370,16 +342,9 @@ class CacheEfficiencyDetector(Detector):
         "healthy baseline"
     )
 
-    def __init__(
-        self,
-        *,
-        floor: float = 0.1,
-        baseline_min: float = 0.3,
-        min_records: int = 16,
-    ):
-        self.floor = floor
-        self.baseline_min = baseline_min
-        self.min_records = min_records
+    floor = 0.1
+    baseline_min = 0.3
+    min_records = 16
 
     @staticmethod
     def _store_rate(records: Sequence[Mapping[str, Any]]) -> Optional[float]:
@@ -436,26 +401,25 @@ class CacheEfficiencyDetector(Detector):
         return findings
 
 
-# -- registry ----------------------------------------------------------------
-_REGISTRY: Dict[str, Detector] = {}
-
-
-def register_detector(detector: Detector, *, replace: bool = False) -> Detector:
-    if not detector.name:
-        raise ValueError("detector must set a non-empty name")
-    if detector.name in _REGISTRY and not replace:
-        raise ValueError(f"detector {detector.name!r} already registered")
-    _REGISTRY[detector.name] = detector
-    return detector
+# -- catalogue ---------------------------------------------------------------
+_CATALOGUE: Dict[str, Detector] = {
+    detector.name: detector
+    for detector in (
+        VerdictDriftDetector(),
+        NearBoundaryPileupDetector(),
+        LatencyRegressionDetector(),
+        CacheEfficiencyDetector(),
+    )
+}
 
 
 def detector_names() -> Tuple[str, ...]:
-    return tuple(sorted(_REGISTRY))
+    return tuple(sorted(_CATALOGUE))
 
 
 def get_detector(name: str) -> Detector:
     try:
-        return _REGISTRY[name]
+        return _CATALOGUE[name]
     except KeyError:
         raise KeyError(
             f"unknown detector {name!r}; known: {', '.join(detector_names())}"
@@ -463,17 +427,11 @@ def get_detector(name: str) -> Detector:
 
 
 def all_detectors() -> Tuple[Detector, ...]:
-    return tuple(_REGISTRY[name] for name in detector_names())
-
-
-register_detector(VerdictDriftDetector())
-register_detector(NearBoundaryPileupDetector())
-register_detector(LatencyRegressionDetector())
-register_detector(CacheEfficiencyDetector())
+    return tuple(_CATALOGUE[name] for name in detector_names())
 
 
 def detector_catalogue() -> List[Dict[str, Any]]:
-    """The registry, as data (the ``obs detectors`` CLI body)."""
+    """The catalogue, as data (the ``obs detectors`` CLI body)."""
     return [
         {
             "name": detector.name,

@@ -21,6 +21,8 @@ import threading
 from collections import OrderedDict, deque
 from typing import Any, Dict, List, Mapping, Optional
 
+from repro.sweep.result import atomic_write_text, canonical_dumps, decode_nonfinite
+
 #: Keys every window record carries (missing values are ``None``).
 RECORD_KEYS = (
     "seq",
@@ -50,16 +52,11 @@ def summary_from_report_dict(report: Mapping[str, Any]) -> Dict[str, Any]:
     """
     rel_slacks: List[float] = []
     for task in report.get("tasks", ()):
-        value = task.get("rel_slack")
+        # Non-finite values arrive as sentinels ("-Infinity" for a
+        # deadline miss).
+        value = decode_nonfinite(task.get("rel_slack"))
         if isinstance(value, (int, float)):
             rel_slacks.append(float(value))
-        elif isinstance(value, str):
-            # Canonical-JSON sentinel ("-Infinity" for a deadline miss).
-            lowered = value.lstrip("~")
-            if lowered == "-Infinity":
-                rel_slacks.append(float("-inf"))
-            elif lowered == "Infinity":
-                rel_slacks.append(float("inf"))
     return {
         "name": report.get("name"),
         "n_tasks": report.get("n_tasks"),
@@ -220,16 +217,12 @@ class ReportWindow:
 
     def save(self, path: str) -> int:
         """Atomically snapshot the window to ``path``; returns records."""
-        from repro.sweep.result import atomic_write_text, canonical_dumps
-
         state = self.to_state()
         atomic_write_text(path, canonical_dumps(state) + "\n")
         return len(state["records"])
 
     def load(self, path: str) -> int:
         """Restore from ``path``; missing/corrupt files restore nothing."""
-        from repro.sweep.result import decode_nonfinite
-
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 state = json.load(handle)

@@ -385,8 +385,7 @@ def analyze_population(tasksets: Sequence[TaskSet]) -> List[TasksetAnalysis]:
     :func:`evaluate_problems` call, so the floats are those of the memo
     and of the reference per-task analyses (the equivalence suites in
     ``tests/rta/test_popbatch.py`` and ``tests/rta/test_batch.py`` pin
-    this); verdicts match
-    :func:`repro.assignment.validate.validate_assignment`.
+    this); verdicts match :func:`repro.api.analyze`.
     """
     task_lists: List[List[Task]] = []
     problems: List[Problem] = []

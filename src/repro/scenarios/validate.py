@@ -36,10 +36,7 @@ it is reported as a finding instead.
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
@@ -54,7 +51,7 @@ from repro.scenarios.spec import ScenarioSpec, _name_key
 from repro.sim.cosim import cosimulate_control_task
 from repro.sim.fpps import simulate_fpps
 from repro.sweep import SweepResult, SweepSpec, run_sweep
-from repro.sweep.result import encode_nonfinite
+from repro.sweep.result import atomic_write_json, canonical_dumps
 
 #: Confusion cells in rendering order.
 CELLS = (
@@ -331,32 +328,11 @@ class ScenarioValidation:
 
     def report_json(self) -> str:
         """Deterministic JSON of :meth:`to_report`."""
-        return json.dumps(
-            encode_nonfinite(self.to_report()),
-            sort_keys=True,
-            separators=(",", ":"),
-            allow_nan=False,
-        )
+        return canonical_dumps(self.to_report())
 
     def write(self, path: str) -> None:
         """Write the canonical report atomically (temp file + rename)."""
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        payload = json.dumps(
-            encode_nonfinite(self.to_report()),
-            indent=2,
-            sort_keys=True,
-            allow_nan=False,
-        )
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload + "\n")
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        atomic_write_json(path, self.to_report())
 
     def render(self) -> str:
         # Imported here: repro.experiments imports this module through the

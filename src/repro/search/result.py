@@ -1,8 +1,6 @@
 """Common result type of all priority-assignment strategies.
 
-Historically ``repro.assignment.result``; it moved here when the
-algorithms became strategies of the search engine.  The old import path
-re-exports it unchanged.
+:mod:`repro.assignment` and :mod:`repro` export it from here.
 """
 
 from __future__ import annotations

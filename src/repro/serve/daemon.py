@@ -17,7 +17,7 @@ server exposing the façade to concurrent clients:
   gauge, latency percentiles, and the detector window under ``"obs"``).
 * ``GET /v1/metrics`` -- Prometheus-style text exposition
   (:mod:`repro.obs.metrics`).
-* ``POST /v1/detect`` -- run the anomaly-detector registry over the
+* ``POST /v1/detect`` -- run the anomaly-detector catalogue over the
   recent window of served analyses; optional Monte-Carlo revalidation
   of flagged models (:mod:`repro.obs.detectors` / ``.revalidate``).
   Advisory only.
@@ -243,16 +243,10 @@ class AnalysisDaemon:
         jobs: int = 1,
         cache_dir: Optional[str] = None,
         batch_window: Optional[float] = None,
-        max_batch: int = 64,
-        store_entries: int = 1024,
         read_timeout: float = 30.0,
         memo_entries: int = 65536,
-        obs_window: int = 2048,
         event_log: Optional[str] = None,
-        detect_interval: float = 0.0,
-        detect_revalidate: bool = False,
         window_file: Optional[str] = None,
-        detect_out: Optional[str] = None,
     ):
         self.host = host
         self.port = port
@@ -280,36 +274,24 @@ class AnalysisDaemon:
         self.window_file = window_file
         self._window_saved = False
         self.window_restored = 0
-        #: Findings export (JSON-lines): each background detect run
-        #: appends its canonical findings here -- the alerting pipeline
-        #: tail-reads this file.
-        self.detect_out = detect_out
-        self.findings_exported = 0
         #: Budget for *receiving* a request (line + headers + body).  A
         #: client that connects and stalls is cut off instead of pinning
         #: a handler task and fd forever; computation time is unbounded
         #: by this (it starts after the body arrived).
         self.read_timeout = read_timeout
-        self.store = ResultStore(max_entries=store_entries, cache_dir=cache_dir)
+        # Fixed sizes, each its class's default: 1024 responses in the
+        # store's memory tier, at most 64 requests per batch, and 2048
+        # records in the report window.
+        self.store = ResultStore(cache_dir=cache_dir)
         if batch_window is None:
             # At --jobs 1 a batch is computed model by model, so waiting
             # for batch-mates buys nothing; requests queued while the
             # dispatch thread is busy are still drained and coalesced.
             batch_window = 0.0 if self.pool is None else POOLED_BATCH_WINDOW
-        self.batcher = MicroBatcher(
-            self._dispatch, window=batch_window, max_batch=max_batch
-        )
+        self.batcher = MicroBatcher(self._dispatch, window=batch_window)
         #: Telemetry: per-daemon metric registry, rolling report window,
         #: tracing, optional JSON-lines event log (:mod:`repro.obs`).
-        self.obs = Observability(
-            window_entries=obs_window, event_log_path=event_log
-        )
-        #: Background advisory detection cadence in seconds (0 = off):
-        #: every interval the detector registry runs over the report
-        #: window; findings go to the log/event log, never control flow.
-        self.detect_interval = detect_interval
-        self.detect_revalidate = detect_revalidate
-        self._detect_task: Optional[asyncio.Task] = None
+        self.obs = Observability(event_log_path=event_log)
         self.log = serve_logger()
         self._server: Optional[asyncio.base_events.Server] = None
         # Created in start(), on the running loop (Python 3.9 binds
@@ -449,7 +431,7 @@ class AnalysisDaemon:
                 summary = summary_from_report_body(body)
         if summary is not None:
             self.obs.window.remember_summary(sha, summary)
-        self.obs.record_analysis(
+        self.obs.window.record(
             sha,
             summary,
             source=source,
@@ -753,7 +735,7 @@ class AnalysisDaemon:
     def _mode(self) -> str:
         return "serial" if self.pool is None else "pool"
 
-    # -- window persistence / findings export --------------------------------
+    # -- window persistence --------------------------------------------------
     def _load_window(self) -> None:
         if not self.window_file:
             return
@@ -778,15 +760,6 @@ class AnalysisDaemon:
             "report window saved",
             extra={"path": self.window_file, "records": records},
         )
-
-    def _export_findings(self, findings: List[Dict[str, Any]]) -> None:
-        """Append canonical findings to the JSON-lines export file."""
-        from repro.sweep.result import canonical_dumps
-
-        with open(self.detect_out, "a", encoding="utf-8") as handle:
-            for finding in findings:
-                handle.write(canonical_dumps(finding) + "\n")
-        self.findings_exported += len(findings)
 
     @staticmethod
     def _parse_model(body: bytes) -> Tuple[ControlTaskSystem, str, Dict]:
@@ -883,10 +856,6 @@ class AnalysisDaemon:
             self._handle, host=self.host, port=self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        if self.detect_interval > 0:
-            self._detect_task = asyncio.get_running_loop().create_task(
-                self._detect_loop()
-            )
         self.log.info(
             "daemon listening",
             extra={
@@ -894,56 +863,12 @@ class AnalysisDaemon:
                 "port": self.port,
                 "jobs": self.jobs,
                 "batch_window": self.batcher.window,
-                "max_batch": self.batcher.max_batch,
                 "cache_dir": self.cache_dir,
                 "memo": self.memo is not None,
-                "detect_interval": self.detect_interval,
                 "mode": self._mode(),
             },
         )
         self.started.set()
-
-    async def _detect_loop(self) -> None:
-        """Background advisory detection over the live report window.
-
-        Every ``detect_interval`` seconds the full detector registry runs
-        off-loop; findings are logged and appended to the event log (and,
-        with ``detect_revalidate``, the flagged models are replayed
-        through the Monte-Carlo harness).  Strictly advisory: failures
-        are logged and the loop continues, serving is never touched.
-        """
-        while True:
-            await asyncio.sleep(self.detect_interval)
-            try:
-                report = await asyncio.to_thread(self.obs.run_detectors)
-                if report["n_findings"] and self.detect_out:
-                    await asyncio.to_thread(
-                        self._export_findings, report["findings"]
-                    )
-                if report["n_findings"] and self.detect_revalidate:
-                    revalidation = await asyncio.to_thread(
-                        revalidate_flagged,
-                        report["findings"],
-                        self.obs.window.model_for,
-                    )
-                    if self.obs.event_log is not None:
-                        self.obs.event_log.emit(
-                            "revalidation", {"report": revalidation}
-                        )
-                if report["n_findings"]:
-                    self.log.warning(
-                        "detector findings",
-                        extra={
-                            "n_findings": report["n_findings"],
-                            "detectors": sorted(
-                                {f["detector"] for f in report["findings"]}
-                            ),
-                        },
-                    )
-            except asyncio.CancelledError:
-                raise
-            except Exception:  # noqa: BLE001 -- advisory, never fatal
-                self.log.exception("background detection failed")
 
     async def serve_until_shutdown(self) -> None:
         if self._shutdown is None:
@@ -952,13 +877,6 @@ class AnalysisDaemon:
         await self.aclose()
 
     async def aclose(self) -> None:
-        if self._detect_task is not None:
-            self._detect_task.cancel()
-            try:
-                await self._detect_task
-            except asyncio.CancelledError:
-                pass
-            self._detect_task = None
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -1013,12 +931,6 @@ class AnalysisDaemon:
             else {
                 "path": self.window_file,
                 "records_restored": self.window_restored,
-            },
-            "detect_export": None
-            if not self.detect_out
-            else {
-                "path": self.detect_out,
-                "findings_exported": self.findings_exported,
             },
             "uptime_seconds": round(self.obs.uptime_seconds(), 3),
             "batcher": self.batcher.stats(),

@@ -201,6 +201,19 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def atomic_write_json(path: str, payload: Any) -> None:
+    """Write ``payload`` as an indented, key-sorted JSON artifact, atomically.
+
+    The one artifact writer (sweep artifacts, analysis and assignment
+    reports, scenario validation reports): non-finite floats become
+    sentinels, output is strict RFC-8259 with a trailing newline.
+    """
+    text = json.dumps(
+        encode_nonfinite(payload), indent=2, sort_keys=True, allow_nan=False
+    )
+    atomic_write_text(path, text + "\n")
+
+
 @dataclass
 class SweepResult:
     """Records of one executed sweep plus provenance metadata."""
@@ -263,13 +276,7 @@ class SweepResult:
 
     def write(self, path: str) -> None:
         """Write the artifact atomically (temp file + rename)."""
-        payload = json.dumps(
-            encode_nonfinite(self.to_dict()),
-            indent=2,
-            sort_keys=True,
-            allow_nan=False,
-        )
-        atomic_write_text(path, payload + "\n")
+        atomic_write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path: str) -> "SweepResult":

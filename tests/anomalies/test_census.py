@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.anomalies.census import AnomalyCensus, run_anomaly_census
-from repro.benchgen.taskgen import BenchmarkConfig
+from repro.anomalies.census import AnomalyCensus
+from repro.experiments.census import run_census
 
 pytestmark = pytest.mark.slow
 
@@ -24,7 +24,7 @@ class TestCensusAccounting:
 class TestCensusRun:
     @pytest.fixture(scope="class")
     def census(self):
-        return run_anomaly_census(4, benchmarks=40, seed=5)
+        return run_census(task_counts=(4,), benchmarks=40, seed=5).censuses[4]
 
     def test_counts_are_consistent(self, census):
         assert census.benchmarks == 40
@@ -45,5 +45,6 @@ class TestCensusRun:
         for kind in ("priority_raise", "wcet_decrease", "period_increase"):
             assert census.anomaly_rate(kind) < 0.2
 
-    def test_events_dropped_unless_requested(self, census):
+    def test_census_keeps_no_events(self, census):
+        # Sweep records carry counts only; no AnomalyEvent survives.
         assert census.events == []

@@ -11,7 +11,7 @@ from repro.anomalies.scenarios import (
     find_priority_raise_anomaly,
     priority_raise_anomaly_example,
 )
-from repro.assignment.validate import validate_assignment
+from repro.api import analyze
 
 
 class TestPinnedExample:
@@ -24,7 +24,7 @@ class TestPinnedExample:
         # Before the raise, the design is stable -- the anomaly is that an
         # apparent improvement breaks a *working* design.
         taskset, _ = priority_raise_anomaly_example()
-        assert validate_assignment(taskset).valid
+        assert analyze(taskset).stable
 
     def test_anomaly_survives_detector_roundtrip(self):
         taskset, name = priority_raise_anomaly_example()
@@ -57,7 +57,7 @@ class TestProvenance:
             seed=FIXTURE_SEARCH_SEED,
             fixture_shaped=True,
         )
-        assert validate_assignment(found).valid
+        assert analyze(found).stable
         events = priority_raise_anomalies(found)
         assert any(e.task_name == "ctl" and e.destabilising for e in events)
 

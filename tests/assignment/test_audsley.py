@@ -2,15 +2,15 @@
 
 from __future__ import annotations
 
+from repro.api import analyze
 from repro.assignment.audsley import assign_audsley
-from repro.assignment.validate import validate_assignment
 
 
 class TestAudsley:
     def test_solves_easy_instance(self, easy_taskset):
         result = assign_audsley(easy_taskset)
         assert result.succeeded
-        assert validate_assignment(result.apply_to(easy_taskset)).valid
+        assert analyze(result.apply_to(easy_taskset)).stable
 
     def test_fails_cleanly_on_infeasible(self, infeasible_taskset):
         result = assign_audsley(infeasible_taskset)
@@ -21,7 +21,7 @@ class TestAudsley:
         # Sound by construction: success implies validity.
         result = assign_audsley(benchmark_taskset)
         if result.priorities is not None:
-            assert validate_assignment(result.apply_to(benchmark_taskset)).valid
+            assert analyze(result.apply_to(benchmark_taskset)).stable
 
     def test_quadratic_evaluations_on_success(self, easy_taskset):
         result = assign_audsley(easy_taskset)

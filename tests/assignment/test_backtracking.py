@@ -4,15 +4,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import analyze
 from repro.assignment.backtracking import assign_backtracking
-from repro.assignment.validate import validate_assignment
 
 
 class TestBacktracking:
     def test_solves_easy_instance(self, easy_taskset):
         result = assign_backtracking(easy_taskset)
         assert result.succeeded
-        assert validate_assignment(result.apply_to(easy_taskset)).valid
+        assert analyze(result.apply_to(easy_taskset)).stable
 
     def test_priorities_are_a_permutation(self, easy_taskset):
         result = assign_backtracking(easy_taskset)
@@ -40,9 +40,7 @@ class TestBacktracking:
     def test_solves_generated_benchmark(self, benchmark_taskset):
         result = assign_backtracking(benchmark_taskset)
         if result.priorities is not None:
-            assert validate_assignment(
-                result.apply_to(benchmark_taskset)
-            ).valid
+            assert analyze(result.apply_to(benchmark_taskset)).stable
 
     def test_does_not_mutate_input(self, easy_taskset):
         assign_backtracking(easy_taskset)
@@ -69,4 +67,4 @@ class TestBacktracking:
             truth = assign_exhaustive(taskset)
             assert (ours.priorities is None) == (truth.priorities is None)
             if ours.priorities is not None:
-                assert validate_assignment(ours.apply_to(taskset)).valid
+                assert analyze(ours.apply_to(taskset)).stable

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import analyze
 from repro.assignment.exhaustive import assign_exhaustive, count_valid_orders
-from repro.assignment.validate import validate_assignment
 from repro.errors import ModelError
 from repro.rta.taskset import Task, TaskSet
 
@@ -14,7 +14,7 @@ class TestExhaustive:
     def test_finds_valid_order(self, easy_taskset):
         result = assign_exhaustive(easy_taskset)
         assert result.succeeded
-        assert validate_assignment(result.apply_to(easy_taskset)).valid
+        assert analyze(result.apply_to(easy_taskset)).stable
 
     def test_detects_infeasibility(self, infeasible_taskset):
         result = assign_exhaustive(infeasible_taskset)

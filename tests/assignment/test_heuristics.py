@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
+from repro.api import analyze
 from repro.assignment.heuristics import (
     assign_rate_monotonic,
     assign_slack_monotonic,
 )
-from repro.assignment.validate import validate_assignment
 
 
 class TestRateMonotonic:
@@ -22,7 +22,7 @@ class TestRateMonotonic:
 
     def test_valid_on_generous_bounds(self, easy_taskset):
         result = assign_rate_monotonic(easy_taskset)
-        assert validate_assignment(result.apply_to(easy_taskset)).valid
+        assert analyze(result.apply_to(easy_taskset)).stable
 
 
 class TestSlackMonotonic:

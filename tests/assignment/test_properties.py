@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import analyze
 from repro.assignment.audsley import assign_audsley
 from repro.assignment.backtracking import assign_backtracking
 from repro.assignment.exhaustive import assign_exhaustive
 from repro.assignment.unsafe_quadratic import assign_unsafe_quadratic
-from repro.assignment.validate import validate_assignment
 from repro.jittermargin.linearbound import LinearStabilityBound
 from repro.rta.taskset import Task, TaskSet
 
@@ -53,7 +53,7 @@ def constrained_task_sets(draw):
 def test_backtracking_success_implies_validity(ts):
     result = assign_backtracking(ts)
     if result.priorities is not None:
-        assert validate_assignment(result.apply_to(ts)).valid
+        assert analyze(result.apply_to(ts)).stable
 
 
 @settings(max_examples=30)
@@ -69,7 +69,7 @@ def test_backtracking_matches_exhaustive_feasibility(ts):
 def test_audsley_success_implies_validity(ts):
     result = assign_audsley(ts)
     if result.priorities is not None:
-        assert validate_assignment(result.apply_to(ts)).valid
+        assert analyze(result.apply_to(ts)).stable
 
 
 @settings(max_examples=30)
@@ -97,4 +97,4 @@ def test_unsafe_quadratic_belief_is_sound_positively(ts):
     # exact check with the exact final hp-set.
     result = assign_unsafe_quadratic(ts)
     if result.claims_valid:
-        assert validate_assignment(result.apply_to(ts)).valid
+        assert analyze(result.apply_to(ts)).stable

@@ -4,15 +4,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import analyze
 from repro.assignment.unsafe_quadratic import assign_unsafe_quadratic
-from repro.assignment.validate import validate_assignment
 
 
 class TestUnsafeQuadratic:
     def test_solves_easy_instance(self, easy_taskset):
         result = assign_unsafe_quadratic(easy_taskset)
         assert result.claims_valid
-        assert validate_assignment(result.apply_to(easy_taskset)).valid
+        assert analyze(result.apply_to(easy_taskset)).stable
 
     def test_always_commits_to_a_complete_order(self, infeasible_taskset):
         # The defining behaviour: even on infeasible instances it outputs
@@ -21,9 +21,7 @@ class TestUnsafeQuadratic:
         assert result.priorities is not None
         assert sorted(result.priorities.values()) == [1, 2]
         assert not result.claims_valid
-        assert not validate_assignment(
-            result.apply_to(infeasible_taskset)
-        ).valid
+        assert not analyze(result.apply_to(infeasible_taskset)).stable
 
     def test_exactly_quadratic_evaluations(self, easy_taskset):
         result = assign_unsafe_quadratic(easy_taskset)
@@ -36,7 +34,7 @@ class TestUnsafeQuadratic:
     def test_respects_forced_order(self, rm_only_taskset):
         result = assign_unsafe_quadratic(rm_only_taskset)
         assert result.priorities["fast"] > result.priorities["slow"]
-        assert validate_assignment(result.apply_to(rm_only_taskset)).valid
+        assert analyze(result.apply_to(rm_only_taskset)).stable
 
     def test_does_not_mutate_input(self, easy_taskset):
         assign_unsafe_quadratic(easy_taskset)
@@ -50,4 +48,4 @@ class TestUnsafeQuadratic:
         uq = assign_unsafe_quadratic(benchmark_taskset)
         bt = assign_backtracking(benchmark_taskset)
         if bt.succeeded and bt.backtracks == 0:
-            assert validate_assignment(uq.apply_to(benchmark_taskset)).valid
+            assert analyze(uq.apply_to(benchmark_taskset)).stable

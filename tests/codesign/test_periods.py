@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.assignment.validate import validate_assignment
+from repro.api import analyze
 from repro.codesign.periods import (
     ControlLoopSpec,
     assign_periods,
@@ -53,7 +53,7 @@ class TestAssignPeriods:
         result = assign_periods(two_loops, points=4)
         assert result is not None
         assigned = result.taskset(two_loops)
-        assert validate_assignment(assigned).valid
+        assert analyze(assigned).stable
 
     def test_result_is_optimal_over_grid(self, two_loops):
         """Best-first must return the cheapest valid combination --

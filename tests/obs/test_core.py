@@ -41,16 +41,6 @@ class TestEnabled:
         # A request that failed before routing still gets an id.
         assert obs.trace_id_for(None)
 
-    def test_record_analysis_feeds_window(self):
-        obs = Observability()
-        obs.record_analysis(
-            "sha1", {"stable": True, "min_rel_slack": 0.2},
-            source="computed", latency_seconds=0.001,
-        )
-        (record,) = obs.window.snapshot()
-        assert record["sha"] == "sha1"
-        assert record["min_rel_slack"] == 0.2
-
     def test_run_detectors_ticks_counters(self):
         obs = Observability()
         report = obs.run_detectors()

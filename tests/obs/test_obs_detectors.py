@@ -89,6 +89,28 @@ class TestRegistry:
     def test_all_detectors_match_names(self):
         assert tuple(d.name for d in all_detectors()) == detector_names()
 
+    def test_thresholds_are_fixed_class_attributes(self):
+        thresholds = {
+            VerdictDriftDetector: {
+                "min_records": 16, "drop_ratio": 0.5,
+                "stable_floor": 0.5, "flag_band": 0.1,
+            },
+            NearBoundaryPileupDetector: {
+                "band": 0.05, "threshold": 0.3,
+                "min_rise": 0.1, "min_records": 16,
+            },
+            LatencyRegressionDetector: {
+                "ratio": 2.0, "min_records": 16,
+                "min_baseline_seconds": 1e-5,
+            },
+            CacheEfficiencyDetector: {
+                "floor": 0.1, "baseline_min": 0.3, "min_records": 16,
+            },
+        }
+        for cls, values in thresholds.items():
+            assert {name: getattr(cls, name) for name in values} == values
+            assert isinstance(get_detector(cls.name), cls)
+
 
 class TestFinding:
     def test_bad_severity_rejected(self):
@@ -231,13 +253,6 @@ class TestPurityAndBatch:
         for detector in all_detectors():
             detector.detect(window)
         assert json.dumps(window, sort_keys=True) == frozen
-
-    def test_detect_batch_preserves_order(self):
-        healthy = [make_record(k + 1) for k in range(24)]
-        batches = VerdictDriftDetector().detect_batch(
-            [healthy, drift_window(), healthy]
-        )
-        assert [len(b) for b in batches] == [0, 1, 0]
 
 
 class TestEnvelope:

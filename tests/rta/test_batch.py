@@ -13,8 +13,8 @@ import math
 import numpy as np
 import pytest
 
+from repro.api import analyze
 from repro.assignment.unsafe_quadratic import assign_unsafe_quadratic
-from repro.assignment.validate import validate_assignment
 from repro.benchgen.uunifast import uunifast
 from repro.rta.popbatch import (
     analyze_population,
@@ -134,7 +134,7 @@ class TestEquivalence:
 
 
 class TestBatchValidate:
-    def test_matches_validate_assignment_on_benchmarks(self):
+    def test_matches_analyze_on_benchmarks(self):
         from repro.benchgen.taskgen import generate_control_taskset
 
         tasksets = []
@@ -144,7 +144,7 @@ class TestBatchValidate:
                 taskset = generate_control_taskset(n, rng)
                 assigned = assign_unsafe_quadratic(taskset).apply_to(taskset)
                 tasksets.append(assigned)
-        reference = [validate_assignment(ts).valid for ts in tasksets]
+        reference = [analyze(ts).stable for ts in tasksets]
         assert [analyze_taskset(ts).stable for ts in tasksets] == reference
 
     def test_violating_names_match_report(self):
@@ -155,9 +155,9 @@ class TestBatchValidate:
             ]
         )
         analysis = analyze_taskset(taskset)
-        report = validate_assignment(taskset)
-        assert analysis.stable == report.valid
-        assert analysis.violating == report.violating_tasks
+        report = analyze(taskset)
+        assert analysis.stable == report.stable
+        assert analysis.violating == report.violating
 
     def test_batch_response_times_shape(self):
         taskset = TaskSet(

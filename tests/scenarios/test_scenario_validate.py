@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
 
 import pytest
 
 from repro.scenarios import get_scenario, validate_instance, validate_scenario
-from repro.scenarios.validate import CELLS, analytic_records, from_sweep, sweep_spec
+from repro.scenarios.validate import (
+    CELLS,
+    ScenarioValidation,
+    analytic_records,
+    from_sweep,
+    sweep_spec,
+)
 from repro.sweep import run_sweep
 
 pytestmark = pytest.mark.scenario
@@ -112,6 +120,70 @@ class TestScenarioPins:
     def test_report_sha_is_pinned(self, name):
         validation = validate_scenario(name, instances=2, horizon_periods=40)
         assert validation.canonical_sha256 == self.PINS[name]
+
+
+def _file_sha(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestReportBytes:
+    """Bytes of the scenario report writers, pinned at v4.0.0: the
+    indented artifact of ``ScenarioValidation.write``, its compact
+    ``report_json`` and the ``scenarios validate --all --out`` payload."""
+
+    def test_write_and_report_json_bytes_are_pinned(self, tmp_path):
+        validation = validate_scenario(
+            "smoke_single_loop", instances=2, horizon_periods=40
+        )
+        validation.write(str(tmp_path / "report.json"))
+        assert _file_sha(tmp_path / "report.json") == (
+            "fb313c3d7215515d44c4eabaf864ac5c6516b772ea41904a57a5d76a736f3fef"
+        )
+        assert hashlib.sha256(validation.report_json().encode()).hexdigest() == (
+            "95b4922cdac62198d2a1612ea166a607f038048e40b3361586af82ece1b93a18"
+        )
+
+    def test_sentinels_and_escapes_are_pinned(self, tmp_path):
+        """Non-finite floats become sentinels; sentinel-spelled strings
+        are escaped, in both the file and the compact form."""
+        validation = ScenarioValidation(
+            scenario="NaN",
+            seed=3,
+            n_instances=2,
+            band=0.05,
+            expectation="sound",
+            cells={"optimistic": 1, "stable_confirmed": 1},
+            near_boundary=1,
+            disagreements=[
+                {"index": 0, "cell": "optimistic", "rel_slack": -math.inf,
+                 "peak": math.nan, "label": "Infinity", "x": 0.1}
+            ],
+            failures=[{"index": 1, "error": "-Infinity", "slack": math.inf}],
+            canonical_sha256="0" * 64,
+        )
+        validation.write(str(tmp_path / "report.json"))
+        on_disk = (tmp_path / "report.json").read_text()
+        assert '"scenario": "~NaN"' in on_disk
+        assert '"rel_slack": "-Infinity"' in on_disk
+        assert _file_sha(tmp_path / "report.json") == (
+            "1398c88dd535b80022b2a8a573330df88beb6f12345ec2625844e6ad613184f4"
+        )
+        assert hashlib.sha256(validation.report_json().encode()).hexdigest() == (
+            "12b95239cfa3746399e61af704c5d28d27edf91851a7859361874dc7d596f376"
+        )
+
+    def test_cli_all_payload_is_pinned(self, tmp_path, capsys):
+        from repro.cli import main
+
+        out = tmp_path / "all.json"
+        code = main(
+            ["scenarios", "validate", "--all", "--instances", "1",
+             "--horizon-periods", "10", "--out", str(out)]
+        )
+        assert code == 0
+        assert _file_sha(out) == (
+            "a45ffc3cc8eeb0e5c5318fe24b2c1deb33d29b570b04e3e89b1edabff9b7d3cd"
+        )
 
 
 @pytest.mark.sweep

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+import inspect
 import json
 import os
 import socket
@@ -45,6 +47,23 @@ class TestRequestCommand:
         assert out.read_bytes() == direct.report_json().encode() + b"\n"
         # stdout carries the exact wire bytes (plus the newline).
         assert capsys.readouterr().out.strip() == direct.report_json()
+
+    def test_batch_round_trip(self, daemon, tmp_path, capsys):
+        with open(EXAMPLE) as handle:
+            model = json.load(handle)
+        models = [dict(model, name="first"), dict(model, name="second")]
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps(models))
+        out = tmp_path / "responses.json"
+        rc = main(
+            ["request", str(batch), "--port", str(daemon.port), "--out", str(out)]
+        )
+        assert rc == 0
+        direct = [
+            analyze(ControlTaskSystem.from_dict(m)).report_json() for m in models
+        ]
+        assert out.read_text() == "[\n" + ",\n".join(direct) + "\n]\n"
+        assert capsys.readouterr().out.split() == direct
 
     def test_assign_round_trip(self, daemon, capsys):
         rc = main(
@@ -113,10 +132,67 @@ class TestServeCommand:
         assert (list(logger.handlers), logger.level, logger.propagate) == found
 
 
+class TestServeSurface:
+    def test_serve_flags(self):
+        from repro.cli import _build_parser
+
+        (commands,) = (
+            action
+            for action in _build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        flags = [
+            action.option_strings[-1]
+            for action in commands.choices["serve"]._actions
+            if action.option_strings and action.dest != "help"
+        ]
+        assert flags == [
+            "--host", "--port", "--cache-dir", "--batch-window",
+            "--memo-entries", "--log-level", "--log-json", "--event-log",
+            "--window-file", "--jobs",
+        ]
+
+    def test_daemon_keywords(self):
+        keywords = list(inspect.signature(AnalysisDaemon).parameters)
+        assert keywords == [
+            "host", "port", "jobs", "cache_dir", "batch_window",
+            "read_timeout", "memo_entries", "event_log", "window_file",
+        ]
+
+
+class TestObsDetectCommand:
+    #: The detectors that read no clock (latency_regression judges
+    #: wall-clock latencies, which a loaded host can make regress).
+    CLOCK_FREE = ["cache_efficiency", "near_boundary_pileup", "verdict_drift"]
+
+    def test_empty_window_exits_0(self, daemon, capsys):
+        assert main(["obs", "detect", "--port", str(daemon.port)]) == 0
+        assert json.loads(capsys.readouterr().out)["n_findings"] == 0
+
+    def test_drift_findings_written_and_exit_1(self, daemon, tmp_path, capsys):
+        from repro.scenarios import drifting_request_stream
+
+        client = wait_until_ready(daemon.host, daemon.port)
+        for system in drifting_request_stream(20, n_tasks=5, seed=23):
+            status, _ = client.analyze_raw(system.to_dict())
+            assert status == 200
+        out = tmp_path / "findings.json"
+        rc = main(
+            ["obs", "detect", "--port", str(daemon.port), "--out", str(out),
+             "--detectors", *self.CLOCK_FREE]
+        )
+        assert rc == 1
+        report = json.loads(out.read_text())
+        assert [f["detector"] for f in report["findings"]] == ["verdict_drift"]
+        # The file holds exactly the printed canonical report.
+        assert out.read_text() == capsys.readouterr().out
+
+
 class TestScenarioRequest:
-    def test_scenario_draw_round_trip(self, daemon, capsys):
+    def test_scenario_draw_round_trip(self, daemon, tmp_path, capsys):
         from repro.scenarios import scenario_run_json
 
+        out = tmp_path / "draw.json"
         rc = main(
             [
                 "request",
@@ -128,9 +204,11 @@ class TestScenarioRequest:
                 "11",
                 "--port",
                 str(daemon.port),
+                "--out",
+                str(out),
             ]
         )
         assert rc == 0
-        assert capsys.readouterr().out.strip() == scenario_run_json(
-            "smoke_single_loop", instances=2, seed=11
-        )
+        expected = scenario_run_json("smoke_single_loop", instances=2, seed=11)
+        assert capsys.readouterr().out.strip() == expected
+        assert out.read_text() == expected + "\n"

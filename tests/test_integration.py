@@ -11,11 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.assignment import (
-    assign_backtracking,
-    assign_unsafe_quadratic,
-    validate_assignment,
-)
+from repro.api import analyze
+from repro.assignment import assign_backtracking, assign_unsafe_quadratic
 from repro.benchgen import generate_control_taskset
 from repro.codesign import assignment_control_cost
 from repro.control import design_lqg, get_plant
@@ -53,7 +50,7 @@ def designed_system():
 
 class TestDesignPipeline:
     def test_assignment_is_valid(self, designed_system):
-        assert validate_assignment(designed_system).valid
+        assert analyze(designed_system).stable
 
     def test_interface_respects_bounds(self, designed_system):
         for name, times in response_time_interface(designed_system).items():
@@ -103,9 +100,9 @@ class TestGeneratedBenchmarkPipeline:
         bt = assign_backtracking(taskset)
         uq = assign_unsafe_quadratic(taskset)
         if bt.priorities is not None:
-            assert validate_assignment(bt.apply_to(taskset)).valid
+            assert analyze(bt.apply_to(taskset)).stable
             if uq.claims_valid:
-                assert validate_assignment(uq.apply_to(taskset)).valid
+                assert analyze(uq.apply_to(taskset)).stable
 
     def test_paper_narrative_on_one_seed_sweep(self):
         """Across a small sweep: UQ failures are rare and always caught by
@@ -116,10 +113,10 @@ class TestGeneratedBenchmarkPipeline:
             rng = np.random.default_rng([31337, 5, index])
             taskset = generate_control_taskset(5, rng)
             uq = assign_unsafe_quadratic(taskset)
-            uq_valid = validate_assignment(uq.apply_to(taskset)).valid
+            uq_valid = analyze(uq.apply_to(taskset)).stable
             if not uq_valid:
                 failures += 1
             bt = assign_backtracking(taskset)
             if bt.priorities is not None:
-                assert validate_assignment(bt.apply_to(taskset)).valid
+                assert analyze(bt.apply_to(taskset)).stable
         assert failures <= 0.1 * total
