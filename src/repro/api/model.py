@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, replace
+from math import isfinite
 from typing import Any, Callable, Dict, Optional, Union
 
 from repro.assignment.audsley import assign_audsley
@@ -199,88 +199,10 @@ class ControlTaskSystem:
         tasks_field = data.get("tasks")
         if not isinstance(tasks_field, (list, tuple)) or not tasks_field:
             raise ModelError("system schema needs a non-empty 'tasks' list")
-        tasks = []
-        for index, entry in enumerate(tasks_field):
-            if not isinstance(entry, dict):
-                raise ModelError(
-                    f"task entry {index} must be an object, got "
-                    f"{type(entry).__name__}"
-                )
-            missing = [key for key in ("name", "period", "wcet") if key not in entry]
-            if missing:
-                raise ModelError(
-                    f"task entry {index} is missing required field(s) "
-                    f"{missing}; each task needs at least name/period/wcet"
-                )
-            stability = entry.get("stability")
-            if stability is not None and not (
-                isinstance(stability, dict) and {"a", "b"} <= set(stability)
-            ):
-                raise ModelError(
-                    f"task entry {index}: 'stability' must be an object "
-                    "with fields 'a' and 'b'"
-                )
-            if isinstance(stability, dict):
-                for coeff in ("a", "b"):
-                    try:
-                        coeff_value = float(stability[coeff])
-                    except (TypeError, ValueError, OverflowError):
-                        continue  # the bound construction below reports these
-                    if not math.isfinite(coeff_value):
-                        raise ModelError(
-                            f"task entry {index}: stability coefficient "
-                            f"{coeff!r} must be finite, got {stability[coeff]!r}"
-                        )
-            # Task's own checks are comparison-based and NaN bypasses
-            # comparisons, so non-finite numbers from a JSON file (which
-            # json.loads accepts as bare NaN/Infinity) are rejected here
-            # at the schema boundary -- they would otherwise surface as
-            # opaque kernel errors (or a vacuous verdict) much later.
-            for field_name in ("period", "wcet", "bcet"):
-                raw = entry.get(field_name)
-                try:
-                    value = float(raw) if raw is not None else None
-                except (TypeError, ValueError, OverflowError):
-                    continue  # the Task construction below reports these
-                if value is not None and not math.isfinite(value):
-                    raise ModelError(
-                        f"task entry {index}: {field_name} must be finite, "
-                        f"got {raw!r}"
-                    )
-            try:
-                tasks.append(
-                    Task(
-                        name=str(entry["name"]),
-                        period=float(entry["period"]),
-                        wcet=float(entry["wcet"]),
-                        bcet=(
-                            float(entry["bcet"])
-                            if entry.get("bcet") is not None
-                            else None
-                        ),
-                        priority=(
-                            int(entry["priority"])
-                            if entry.get("priority") is not None
-                            else None
-                        ),
-                        stability=(
-                            None
-                            if stability is None
-                            else LinearStabilityBound(
-                                a=float(stability["a"]), b=float(stability["b"])
-                            )
-                        ),
-                        plant_name=(
-                            str(entry["plant"])
-                            if entry.get("plant") is not None
-                            else None
-                        ),
-                    )
-                )
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ModelError(
-                    f"task entry {index} has a malformed field: {exc}"
-                ) from exc
+        tasks = [
+            _task_from_entry(index, entry)
+            for index, entry in enumerate(tasks_field)
+        ]
         return cls(
             taskset=TaskSet(tasks),
             name=str(data.get("name", "system")),
@@ -311,6 +233,109 @@ class ControlTaskSystem:
     def from_json(cls, path: str) -> "ControlTaskSystem":
         with open(path) as handle:
             return cls.from_dict(json.load(handle))
+
+
+#: What a failed ``float()``/``int()`` of a schema field raises.
+_UNCONVERTIBLE = (TypeError, ValueError, OverflowError)
+
+
+def _task_from_entry(index: int, entry: Any) -> Task:
+    """One task entry of the model schema, each field converted once.
+
+    An error names the first bad field in the boundary's order: the
+    entry's shape, then non-finite numbers (:func:`_nonfinite_error`),
+    then fields that do not convert (period, wcet, bcet, priority, a,
+    b), then the bound's and the task's own checks.
+    """
+    if not isinstance(entry, dict):
+        raise ModelError(
+            f"task entry {index} must be an object, got {type(entry).__name__}"
+        )
+    if not ("name" in entry and "period" in entry and "wcet" in entry):
+        missing = [key for key in ("name", "period", "wcet") if key not in entry]
+        raise ModelError(
+            f"task entry {index} is missing required field(s) "
+            f"{missing}; each task needs at least name/period/wcet"
+        )
+    stability = entry.get("stability")
+    if stability is not None and not (
+        isinstance(stability, dict) and "a" in stability and "b" in stability
+    ):
+        raise ModelError(
+            f"task entry {index}: 'stability' must be an object "
+            "with fields 'a' and 'b'"
+        )
+    bcet = entry.get("bcet")
+    priority = entry.get("priority")
+    plant = entry.get("plant")
+    try:
+        period = float(entry["period"])
+        wcet = float(entry["wcet"])
+        if bcet is not None:
+            bcet = float(bcet)
+        if priority is not None:
+            priority = int(priority)
+        if stability is not None:
+            a = float(stability["a"])
+            b = float(stability["b"])
+    except _UNCONVERTIBLE as exc:
+        # A non-finite field elsewhere in the entry is reported first.
+        raise _nonfinite_error(index, entry, stability) or ModelError(
+            f"task entry {index} has a malformed field: {exc}"
+        ) from exc
+    if not (
+        isfinite(period)
+        and isfinite(wcet)
+        and (bcet is None or isfinite(bcet))
+        and (stability is None or (isfinite(a) and isfinite(b)))
+    ):
+        raise _nonfinite_error(index, entry, stability)
+    try:
+        # Positional, in field order: a third cheaper than keywords, and
+        # paid once per task of every served model.
+        return Task(
+            str(entry["name"]),
+            period,
+            wcet,
+            bcet,
+            priority,
+            None if stability is None else LinearStabilityBound(a, b),
+            None if plant is None else str(plant),
+        )
+    except _UNCONVERTIBLE as exc:
+        raise ModelError(
+            f"task entry {index} has a malformed field: {exc}"
+        ) from exc
+
+
+def _nonfinite_error(
+    index: int, entry: Dict[str, Any], stability: Optional[Dict[str, Any]]
+) -> Optional[ModelError]:
+    """The error for an entry's first non-finite number, if it has one.
+
+    Checked in the order ``a``, ``b``, ``period``, ``wcet``, ``bcet``,
+    over the fields that convert at all.  Task's own checks are
+    comparison-based and NaN bypasses comparisons, so non-finite numbers
+    from a JSON file (which ``json.loads`` accepts as bare
+    NaN/Infinity) are rejected here at the schema boundary -- they would
+    otherwise surface as opaque kernel errors (or a vacuous verdict)
+    much later.
+    """
+    fields = [] if stability is None else [
+        (f"stability coefficient {coeff!r}", stability[coeff])
+        for coeff in ("a", "b")
+    ]
+    fields += [(name, entry.get(name)) for name in ("period", "wcet", "bcet")]
+    for label, raw in fields:
+        try:
+            value = float(raw)
+        except _UNCONVERTIBLE:
+            continue
+        if not isfinite(value):
+            return ModelError(
+                f"task entry {index}: {label} must be finite, got {raw!r}"
+            )
+    return None
 
 
 def as_system(

@@ -29,11 +29,15 @@ generic encoder's.  ``canonical_dumps`` stays the oracle
 
 Fragment reuse: given an :class:`~repro.memo.AnalysisMemo`,
 :func:`report_json` looks each verdict's encoded fragment up in the
-memo's bounded fragment store (:meth:`~repro.memo.AnalysisMemo.
+memo's bounded fragment store (:attr:`~repro.memo.AnalysisMemo.
 fragments`), so an edited model re-encodes only the verdicts that
 changed.  A fragment is keyed on the verdict's field values, plus the
 sign of every zero among them: verdicts with ``b = 0.0`` and ``b =
 -0.0`` compare (and hash) equal but encode differently.
+:func:`model_json` does the same per task, given a
+:class:`~repro.memo.FragmentStore` (the serve daemon keeps one); its key
+also carries each number's exact type, because ``20 == 20.0`` yet the
+model writes them apart.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from __future__ import annotations
 import hashlib
 from json.encoder import encode_basestring_ascii
 from math import copysign
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.api.report import SCHEMA_VERSION, _MIN_BUDGET
 from repro.sweep.result import (
@@ -175,7 +179,7 @@ def _typed_report_body(report, memo) -> Tuple[str, Dict[str, Any]]:
         encoded = [_encode_verdict(verdict) for verdict in verdicts]
     else:
         keys = [_verdict_key(verdict) for verdict in verdicts]
-        encoded = memo.fragments(
+        encoded = memo.fragments.lookup(
             keys, lambda index: _encode_verdict(verdicts[index])
         )
     utilization = float(sum([v.wcet / v.period for v in verdicts]))
@@ -280,37 +284,85 @@ def outcome_json(outcome) -> str:
 
 
 # -- system model ------------------------------------------------------------
-def _typed_model(system) -> str:
-    tasks: List[str] = []
-    for task in system.taskset:
-        fields = [
-            f'"bcet":{_raw_number(task.bcet)}',
-            f'"name":{_str(task.name)}',
-            f'"period":{_raw_number(task.period)}',
-        ]
-        if task.plant_name is not None:
-            fields.append(f'"plant":{_str(task.plant_name)}')
-        if task.priority is not None:
-            fields.append(f'"priority":{_raw_number(task.priority)}')
-        stability = task.stability
-        if stability is not None:
-            fields.append(
-                f'"stability":{{"a":{_raw_number(stability.a)},'
-                f'"b":{_raw_number(stability.b)}}}'
-            )
-        fields.append(f'"wcet":{_raw_number(task.wcet)}')
-        tasks.append("{" + ",".join(fields) + "}")
+#: Exact types of a model task's numeric fields the typed path encodes.
+_MODEL_NUMERIC = frozenset((float, int, type(None)))
+
+
+def _model_task_key(task) -> Tuple:
+    """Fragment key of one model task: field values, exact types, zero signs.
+
+    ``_raw_number`` writes ``20`` and ``20.0`` apart although they are
+    equal (and hash alike), and ``-0.0`` apart from ``0.0``, so both the
+    type of every number and the sign of every zero are part of the key.
+    Any value the typed path does not encode leaves it here.
+    """
+    bound = task.stability
+    if bound is None:
+        numbers = (task.period, task.wcet, task.bcet, task.priority)
+    else:
+        numbers = (
+            task.period, task.wcet, task.bcet, task.priority, bound.a, bound.b,
+        )
+    kinds = tuple(map(type, numbers))
+    name, plant = task.name, task.plant_name
+    if (
+        not _MODEL_NUMERIC.issuperset(kinds)
+        or type(name) is not str
+        or not (plant is None or type(plant) is str)
+    ):
+        raise _Untyped
+    if 0.0 in numbers:
+        signs = tuple([copysign(1.0, x) for x in numbers if x == 0.0])
+        return name, plant, numbers, kinds, signs
+    return name, plant, numbers, kinds
+
+
+def _encode_model_task(task) -> str:
+    """``canonical_dumps`` of one task entry of ``system.to_dict()``."""
+    fields = [
+        f'"bcet":{_raw_number(task.bcet)}',
+        f'"name":{_str(task.name)}',
+        f'"period":{_raw_number(task.period)}',
+    ]
+    if task.plant_name is not None:
+        fields.append(f'"plant":{_str(task.plant_name)}')
+    if task.priority is not None:
+        fields.append(f'"priority":{_raw_number(task.priority)}')
+    stability = task.stability
+    if stability is not None:
+        fields.append(
+            f'"stability":{{"a":{_raw_number(stability.a)},'
+            f'"b":{_raw_number(stability.b)}}}'
+        )
+    fields.append(f'"wcet":{_raw_number(task.wcet)}')
+    return "{" + ",".join(fields) + "}"
+
+
+def _typed_model(system, fragments) -> str:
+    tasks = list(system.taskset)
+    if fragments is None:
+        encoded = [_encode_model_task(task) for task in tasks]
+    else:
+        encoded = fragments.lookup(
+            [_model_task_key(task) for task in tasks],
+            lambda index: _encode_model_task(tasks[index]),
+        )
     return (
         f'{{"name":{_str(system.name)},'
         f'"priority_policy":{_str(system.priority_policy)},'
         f'"schema_version":{SCHEMA_VERSION},'
-        f'"tasks":[{",".join(tasks)}]}}'
+        f'"tasks":[{",".join(encoded)}]}}'
     )
 
 
-def model_json(system) -> str:
-    """The model's canonical JSON: ``canonical_dumps(system.to_dict())``."""
+def model_json(system, fragments=None) -> str:
+    """The model's canonical JSON: ``canonical_dumps(system.to_dict())``.
+
+    ``fragments`` (a :class:`~repro.memo.FragmentStore`) reuses the
+    encoded entries of tasks seen before (see the module docstring);
+    without it every task is encoded.
+    """
     try:
-        return _typed_model(system)
+        return _typed_model(system, fragments)
     except Exception:  # noqa: BLE001 -- the generic encoder decides
         return canonical_dumps(system.to_dict())

@@ -207,12 +207,21 @@ class PoolBackend(_Backend):
             self._rebuild_pool()
 
     def _rebuild_pool(self) -> None:
-        """Tear down a broken pool; the next plan builds a fresh one."""
+        """Tear down a broken pool; the next plan builds a fresh one.
+
+        The old workers are terminated first, as the executor itself does
+        when it finds its pool broken: a worker killed while waiting for
+        work can take the shared call queue's lock with it, and a
+        survivor asked to exit cleanly would wait on that lock forever
+        (and the interpreter's exit with it).
+        """
         with self._lock:
             executor, self._executor = self._executor, None
             self.pools_rebuilt += 1
         instruments().pools_rebuilt_total.inc(backend=self.kind)
         if executor is not None:
+            for process in list((executor._processes or {}).values()):
+                process.terminate()
             executor.shutdown(wait=False)
 
     def worker_pids(self) -> List[int]:
@@ -240,6 +249,7 @@ class PoolBackend(_Backend):
         crashed: Optional[BaseException] = None
         try:
             executor = self._pool()
+            _check_workers(executor)
         except (BrokenProcessPool, OSError, RuntimeError) as exc:
             crashed = exc
             unsubmitted = list(range(plan.n_calls))
@@ -310,6 +320,24 @@ class PoolBackend(_Backend):
                 else 0
             )
         return snapshot
+
+
+def _check_workers(executor: ProcessPoolExecutor) -> None:
+    """Raise ``BrokenProcessPool`` if a worker of ``executor`` has exited.
+
+    A worker that dies while the pool is idle need not have broken the
+    executor by the next plan, and a plan its surviving workers finish
+    alone would never count the crash.  So a plan that finds a dead
+    worker treats the pool as broken, as it would on submission: every
+    call fails over in-process, the crash is counted once, and the next
+    plan gets a fresh pool.
+    """
+    for process in list((executor._processes or {}).values()):
+        if process.exitcode is not None:
+            raise BrokenProcessPool(
+                f"pool worker {process.pid} exited with code "
+                f"{process.exitcode} between plans"
+            )
 
 
 # -- process-wide default backends -------------------------------------------

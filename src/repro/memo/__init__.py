@@ -20,6 +20,9 @@ search-private helper into a first-class layer the whole stack consumes:
   analyses of :mod:`repro.rta` for the same hp enumeration order.
 * :class:`~repro.memo.core.MemoRun` -- one strategy/analysis run on a
   memo: its own logical counter, the shared subproblem cache.
+* :class:`~repro.memo.core.FragmentStore` -- the bounded, locked store
+  of encoded fragments behind the memo's verdict fragments and the serve
+  daemon's model task fragments.
 
 Consumers:
 
@@ -42,6 +45,7 @@ fresh analyses serialise to byte-identical canonical JSON.
 from repro.memo.core import (
     AnalysisMemo,
     EvaluationCounter,
+    FragmentStore,
     MemoEntry,
     MemoRun,
 )
@@ -50,6 +54,7 @@ from repro.memo.kernels import TaskRecord, evaluate_candidate, make_record
 __all__ = [
     "AnalysisMemo",
     "EvaluationCounter",
+    "FragmentStore",
     "MemoEntry",
     "MemoRun",
     "TaskRecord",

@@ -15,9 +15,9 @@ codesign loop):
   enumerate hp-sets in task-set order (the facade and every algorithm
   except the exhaustive permutation scan) therefore observe floats
   bit-identical to the scalar seed path.
-* **fragments** -- a bounded store of encoded verdict fragments
-  (:meth:`AnalysisMemo.fragments`), so a served report re-encodes only
-  the verdicts it does not share with earlier reports
+* **fragments** -- a :class:`FragmentStore` of encoded verdict
+  fragments (:attr:`AnalysisMemo.fragments`), so a served report
+  re-encodes only the verdicts it does not share with earlier reports
   (:func:`repro.api.wire.report_json`).
 * **counters** -- each run carries its own :class:`EvaluationCounter`;
   ``count`` is the paper's logical metric (every predicate query ticks,
@@ -31,11 +31,12 @@ codesign and the serve daemon) is what unlocks the sharing.
 
 Process-lifetime use: pass ``max_entries`` to bound the subproblem memo
 and the fragment store -- least-recently-used entries are evicted past
-the bound (interned task records are tiny and are kept unbounded).  All
-mutating operations and ``stats()`` snapshots are serialised on an
-internal lock, so one memo may be shared between the serve daemon's
-event loop, its dispatch worker, and direct facade calls without lost
-counter updates.
+the bound -- and the table of shared hp-set keys, which is cleared when
+it outgrows it (interned task records are tiny and are kept unbounded).
+All mutating operations and ``stats()`` snapshots are serialised on an
+internal lock (the fragment store has its own), so one memo may be
+shared between the serve daemon's event loop, its dispatch worker, and
+direct facade calls without lost counter updates.
 """
 
 from __future__ import annotations
@@ -64,6 +65,8 @@ from repro.rta.taskset import Task, TaskSet
 #: Memo value: ``(best, worst, slack)`` of one (task, hp-set) subproblem.
 MemoEntry = Tuple[float, float, float]
 
+_EMPTY: FrozenSet[int] = frozenset()
+
 
 @dataclass
 class EvaluationCounter:
@@ -86,6 +89,61 @@ class EvaluationCounter:
     def recomputations(self) -> int:
         """Predicate evaluations that ran the RTA kernels (memo misses)."""
         return self.count - self.hits
+
+
+class FragmentStore:
+    """A bounded, thread-safe store of encoded fragments: key -> value.
+
+    The serving layer's encoding caches: the memo's verdict fragments
+    (:func:`repro.api.wire.report_json`) and the daemon's model task
+    fragments (:func:`repro.api.wire.model_json`).  Least-recently-used
+    entries are evicted past ``max_entries`` (``None``: unbounded).
+    """
+
+    def __init__(self, max_entries: Optional[int] = None) -> None:
+        self.max_entries = max_entries
+        self._lock = threading.Lock()
+        self._values: "OrderedDict[Hashable, Any]" = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+
+    def lookup(
+        self, keys: Sequence[Hashable], encode: Callable[[int], Any]
+    ) -> List[Any]:
+        """The stored value of every key; a miss stores ``encode(index)``.
+
+        One lock round trip per call.  ``encode`` runs under the lock, so
+        it must not call back into the store; an exception from it
+        propagates and leaves every value stored so far in place.
+        """
+        values: List[Any] = []
+        bounded = self.max_entries is not None
+        with self._lock:
+            store = self._values
+            hits = 0
+            for index, key in enumerate(keys):
+                value = store.get(key)
+                if value is None:
+                    value = store[key] = encode(index)
+                else:
+                    hits += 1
+                    if bounded:
+                        store.move_to_end(key)
+                values.append(value)
+            self.hits += hits
+            self.misses += len(values) - hits
+            if bounded:
+                while len(store) > self.max_entries:
+                    store.popitem(last=False)
+        return values
+
+    def stats(self) -> Dict[str, int]:
+        with self._lock:
+            return {
+                "entries": len(self._values),
+                "hits": self.hits,
+                "misses": self.misses,
+            }
 
 
 def _task_key(task: Task) -> tuple:
@@ -120,6 +178,9 @@ class AnalysisMemo:
             OrderedDict()
         )
         self.evictions = 0
+        #: ``(hp key, id) -> hp key | {id}`` (:meth:`_hp_keys`), cleared
+        #: whenever it outgrows ``max_entries``.
+        self._unions: Dict[Tuple[FrozenSet[int], int], FrozenSet[int]] = {}
         #: Aggregate over every run opened on this memo.
         self.total = EvaluationCounter()
         #: Wall time spent inside the RTA kernels (memo misses only);
@@ -129,9 +190,7 @@ class AnalysisMemo:
         #: Encoded verdict fragments of served reports
         #: (:func:`repro.api.wire.report_json`), LRU-bounded by
         #: ``max_entries`` like the subproblem memo.
-        self._fragments: "OrderedDict[Hashable, Any]" = OrderedDict()
-        self.fragment_hits = 0
-        self.fragment_misses = 0
+        self.fragments = FragmentStore(max_entries)
 
     # -- interning -----------------------------------------------------------
     def intern(self, task: Task) -> int:
@@ -192,7 +251,12 @@ class AnalysisMemo:
 
     # -- statistics ----------------------------------------------------------
     def stats(self) -> Dict[str, Any]:
-        """Consistent snapshot of interning, memo, and counter totals."""
+        """Consistent snapshot of interning, memo, and counter totals.
+
+        The ``fragment_*`` counters are the fragment store's own
+        snapshot, taken just before.
+        """
+        fragments = self.fragments.stats()
         with self._lock:
             return {
                 "interned_tasks": len(self._records),
@@ -203,42 +267,10 @@ class AnalysisMemo:
                 "cache_hits": self.total.hits,
                 "recomputations": self.total.recomputations,
                 "kernel_seconds": self.kernel_seconds,
-                "fragment_entries": len(self._fragments),
-                "fragment_hits": self.fragment_hits,
-                "fragment_misses": self.fragment_misses,
+                "fragment_entries": fragments["entries"],
+                "fragment_hits": fragments["hits"],
+                "fragment_misses": fragments["misses"],
             }
-
-    # -- encoded fragments ---------------------------------------------------
-    def fragments(
-        self, keys: Sequence[Hashable], encode: Callable[[int], Any]
-    ) -> List[Any]:
-        """The stored value of every key; a miss stores ``encode(index)``.
-
-        The serving layer's verdict fragments, one lock round trip per
-        report (as :meth:`intern_all`).  ``encode`` runs under the lock,
-        so it must not call back into the memo; an exception from it
-        propagates and leaves every fragment stored so far in place.
-        """
-        values: List[Any] = []
-        bounded = self.max_entries is not None
-        with self._lock:
-            store = self._fragments
-            hits = 0
-            for index, key in enumerate(keys):
-                value = store.get(key)
-                if value is None:
-                    value = store[key] = encode(index)
-                else:
-                    hits += 1
-                    if bounded:
-                        store.move_to_end(key)
-                values.append(value)
-            self.fragment_hits += hits
-            self.fragment_misses += len(values) - hits
-            if bounded:
-                while len(store) > self.max_entries:
-                    store.popitem(last=False)
-        return values
 
     # -- whole-taskset analysis ---------------------------------------------
     def population_analysis(
@@ -256,27 +288,47 @@ class AnalysisMemo:
         hp-set)`` key is new.  Counters are those of analysing the sets
         one after another: a subproblem repeated across the population
         is a miss on first sight and a hit on every repeat.
+
+        The hp-set keys come from one descending priority order
+        (:meth:`_hp_keys`).  Only a memo miss builds its hp id *list*
+        (:meth:`_entries`).
         """
         if counter is None:
             counter = EvaluationCounter()
         task_lists: List[List[Task]] = []
         tids: List[int] = []
-        hp_lists: List[List[int]] = []
+        hp_keys: List[FrozenSet[int]] = []
+        # Per input position: ``(ids, priorities, offset)`` of its set.
+        owners: List[Tuple[List[int], List[Any], int]] = []
         for taskset in tasksets:
+            # Distinct and not NaN: the sort below orders tasks exactly
+            # as ``>`` does.
             taskset.check_distinct_priorities()
             tasks = list(taskset)
             ids = self.intern_all(tasks)
             priorities = [task.priority for task in tasks]
-            # hp ids in task-set order -- exactly the
-            # ``taskset.higher_priority(task)`` enumeration (priorities
-            # are distinct), without re-interning per task.
-            hp_lists.extend(
-                [ids[j] for j, other in enumerate(priorities) if other > priority]
-                for priority in priorities
+            order = sorted(
+                range(len(tasks)), key=priorities.__getitem__, reverse=True
             )
+            keys: List[FrozenSet[int]] = [_EMPTY] * len(tasks)
+            for i, key in zip(order, self._hp_keys([ids[i] for i in order])):
+                keys[i] = key
+            owners.extend([(ids, priorities, len(tids))] * len(tasks))
             tids.extend(ids)
+            hp_keys.extend(keys)
             task_lists.append(tasks)
-        entries = self._entries(tids, hp_lists, counter)
+
+        def hp_ids(index: int) -> List[int]:
+            # hp ids in task-set order -- exactly the
+            # ``taskset.higher_priority(task)`` enumeration, on which
+            # the record kernel's floats depend.
+            ids, priorities, offset = owners[index]
+            priority = priorities[index - offset]
+            return [
+                ids[j] for j, other in enumerate(priorities) if other > priority
+            ]
+
+        entries = self._entries(tids, hp_keys, hp_ids, counter)
         results: List[TasksetAnalysis] = []
         offset = 0
         for tasks in task_lists:
@@ -285,6 +337,31 @@ class AnalysisMemo:
             )
             offset += len(tasks)
         return results
+
+    def _hp_keys(self, ids: Sequence[int]) -> List[FrozenSet[int]]:
+        """hp-set keys of tasks listed by descending priority.
+
+        ``ids[k]``'s key is ``frozenset(ids[:k])``: its predecessor's key
+        plus one id.  Each such union is made once and shared through
+        ``_unions``, so a model whose priority order the memo has seen
+        gets back the very key objects its memo entries are stored
+        under: cached hashes, and equality by identity.  An edited
+        model builds new unions only from its first changed task on.
+        """
+        keys: List[FrozenSet[int]] = []
+        key = _EMPTY
+        with self._lock:
+            unions = self._unions
+            if self.max_entries is not None and len(unions) > self.max_entries:
+                unions.clear()
+            for tid in ids:
+                keys.append(key)
+                step = (key, tid)
+                union = unions.get(step)
+                if union is None:
+                    union = unions[step] = key | {tid}
+                key = union
+        return keys
 
     # -- evaluation core -----------------------------------------------------
     def _entry(
@@ -344,10 +421,16 @@ class AnalysisMemo:
     def _entries(
         self,
         tids: Sequence[int],
-        hp_lists: Sequence[Sequence[int]],
+        hp_keys: Sequence[FrozenSet[int]],
+        hp_ids: Callable[[int], Sequence[int]],
         counter: EvaluationCounter,
     ) -> List[MemoEntry]:
         """Batched :meth:`_entry`: memo misses evaluate as one population.
+
+        Input position ``i`` is the subproblem ``(tids[i], hp_keys[i])``;
+        ``hp_ids(i)`` gives its hp ids in evaluation order and is called
+        only for the positions that miss (and, after a kernel error, for
+        every position of the replay).
 
         The hit/miss pattern and counter totals are exactly those of
         per-pair :meth:`_entry` calls in input order -- a pair repeated
@@ -359,7 +442,7 @@ class AnalysisMemo:
         """
         from repro.rta.popbatch import evaluate_problems
 
-        keys = [(tid, frozenset(hp)) for tid, hp in zip(tids, hp_lists)]
+        keys = list(zip(tids, hp_keys))
         n = len(keys)
         bounded = self.max_entries is not None
         entries: List[Optional[MemoEntry]] = [None] * n
@@ -385,7 +468,7 @@ class AnalysisMemo:
                     misses.append(i)
             records = self._records
             problems = [
-                (records[tids[i]], [records[t] for t in hp_lists[i]])
+                (records[tids[i]], [records[t] for t in hp_ids(i)])
                 for i in misses
             ]
         if misses:
@@ -398,8 +481,8 @@ class AnalysisMemo:
                 # state it leaves behind -- match the serial path exactly
                 # (nothing was stored or ticked yet).
                 return [
-                    self._entry(tid, hp, key[1], counter)
-                    for tid, hp, key in zip(tids, hp_lists, keys)
+                    self._entry(tid, hp_ids(i), hp_key, counter)
+                    for i, (tid, hp_key) in enumerate(keys)
                 ]
             kernel_elapsed = time.perf_counter() - kernel_start
         counter.count += n
@@ -436,14 +519,17 @@ class MemoRun:
         misses of one level evaluate together through the population
         kernel (:meth:`AnalysisMemo._entries`), so a fresh n-task level
         costs one stacked fixed point instead of n scalar ones, with
-        the scalar enumeration's exact hit/miss pattern and counters
-        (level ids are distinct, so no same-level self-hits exist on
-        either path).
+        the scalar enumeration's exact hit/miss pattern and counters.
+        Level ids are distinct (one task set's interned tasks), so
+        ``ids[i]``'s hp key is the level's set without ``ids[i]``, and
+        no same-level self-hits exist on either path.
         """
         ids = list(ids)
+        level = frozenset(ids)
         entries = self.memo._entries(
             ids,
-            [ids[:i] + ids[i + 1 :] for i in range(len(ids))],
+            [level - {tid} for tid in ids],
+            lambda i: ids[:i] + ids[i + 1 :],
             self.counter,
         )
         return [entry[2] for entry in entries]

@@ -20,6 +20,8 @@ from repro.rta.bcrt import best_case_response_time
 from repro.rta.taskset import Task, TaskSet
 from repro.rta.wcrt import worst_case_response_time
 
+_INF = float("inf")
+
 
 @dataclass(frozen=True)
 class ResponseTimes:
@@ -64,17 +66,21 @@ class TasksetAnalysis:
         """
         times: Dict[str, ResponseTimes] = {}
         violating = []
+        deadlines_met = True
         for task, entry in zip(tasks, entries):
-            interface = ResponseTimes(best=entry[0], worst=entry[1])
-            times[task.name] = interface
-            ok = interface.finite
-            if ok and task.stability is not None:
-                ok = task.stability.is_stable(interface.latency, interface.jitter)
-            if not ok:
+            best, worst = entry[0], entry[1]
+            times[task.name] = ResponseTimes(best, worst)
+            # The ``finite``, ``latency`` and ``jitter`` properties, inline.
+            if worst == _INF:
+                deadlines_met = False
+                violating.append(task.name)
+            elif task.stability is not None and not task.stability.is_stable(
+                best, worst - best
+            ):
                 violating.append(task.name)
         return cls(
             times=times,
-            deadlines_met=all(t.finite for t in times.values()),
+            deadlines_met=deadlines_met,
             stable=not violating,
             violating=tuple(violating),
         )

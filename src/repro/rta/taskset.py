@@ -111,9 +111,17 @@ class TaskSet:
         return all(t.priority is not None for t in self._tasks)
 
     def check_distinct_priorities(self) -> None:
+        """Every task has a priority, none NaN, no two equal.
+
+        A NaN priority compares false both ways, so it would order no
+        task and slip past the equality check.
+        """
         if not self.priorities_assigned():
             raise ModelError("task set has unassigned priorities")
         values = [t.priority for t in self._tasks]
+        for task, value in zip(self._tasks, values):
+            if value != value:
+                raise ModelError(f"task {task.name!r} has a NaN priority")
         if len(set(values)) != len(values):
             raise ModelError(f"priorities are not distinct: {values}")
 

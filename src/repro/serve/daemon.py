@@ -51,6 +51,11 @@ Three mechanics keep repeated work off the hot path:
    ``X-Repro-Memo-Hits``, ``X-Repro-Memo-Recomputations``) and, at
    ``--jobs 1``, in ``GET /v1/stats`` under ``"memo"``.
    ``--memo-entries 0`` means no memo at all.
+4. **Model fragments**: the store key (the model's ``canonical_sha256``)
+   is hashed from per-task encoded fragments kept in one bounded
+   :class:`~repro.memo.FragmentStore` per daemon, so an edited model
+   encodes only the tasks it changed (``GET /v1/stats`` under
+   ``"model_fragments"``).
 
 Every model is computed by one function, :func:`compute_model`.  At
 ``--jobs 1`` it runs in the batcher's dispatch thread on the daemon's
@@ -65,6 +70,7 @@ with ``python -m repro request <model.json>`` or plain ``curl``.
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import json
 import threading
 import time
@@ -73,9 +79,10 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.api.model import ControlTaskSystem
 from repro.api.service import analyze, assign
+from repro.api.wire import model_json
 from repro.errors import ModelError
 from repro.exec import ExecutionPlan, resolve_jobs, worker_memo
-from repro.memo import AnalysisMemo
+from repro.memo import AnalysisMemo, FragmentStore
 from repro.obs import Observability, RequestTrace, detector_names
 from repro.obs.logs import serve_logger
 from repro.obs.revalidate import DEFAULT_HORIZON_PERIODS, revalidate_flagged
@@ -116,6 +123,10 @@ POOLED_BATCH_WINDOW = 0.005
 #: json.loads + canonical-dump duration.  Typical models are a few KB
 #: and stay inline.
 OFFLOAD_PARSE_BYTES = 256 * 1024
+
+#: Encoded model task fragments each daemon keeps (LRU, a few MB): the
+#: tasks of about a hundred 80-task models.
+MODEL_FRAGMENT_ENTRIES = 8192
 
 
 def _json_body(payload: Dict[str, Any]) -> str:
@@ -283,6 +294,10 @@ class AnalysisDaemon:
         # store's memory tier, at most 64 requests per batch, and 2048
         # records in the report window.
         self.store = ResultStore(cache_dir=cache_dir)
+        #: Encoded task fragments of parsed models, the parts every store
+        #: key is hashed from.  The parse runs in this process at every
+        #: ``--jobs``, so one store serves both topologies.
+        self.model_fragments = FragmentStore(MODEL_FRAGMENT_ENTRIES)
         if batch_window is None:
             # At --jobs 1 a batch is computed model by model, so waiting
             # for batch-mates buys nothing; requests queued while the
@@ -761,14 +776,18 @@ class AnalysisDaemon:
             extra={"path": self.window_file, "records": records},
         )
 
-    @staticmethod
-    def _parse_model(body: bytes) -> Tuple[ControlTaskSystem, str, Dict]:
-        """Body bytes -> (system, content hash, raw dict); raises on bad input."""
+    def _parse_model(self, body: bytes) -> Tuple[ControlTaskSystem, str, Dict]:
+        """Body bytes -> (system, content hash, raw dict); raises on bad input.
+
+        The hash is ``system.canonical_sha256()``, written from this
+        daemon's model fragments.
+        """
         data = _load_json(body)
         if not isinstance(data, dict):
             raise ModelError("body must be a single system-model object")
         system = ControlTaskSystem.from_dict(data)
-        return system, system.canonical_sha256(), data
+        text = model_json(system, fragments=self.model_fragments)
+        return system, hashlib.sha256(text.encode("utf-8")).hexdigest(), data
 
     async def _model_request(
         self, kind_group: Tuple[str, ...], body: bytes, trace: RequestTrace
@@ -806,8 +825,6 @@ class AnalysisDaemon:
         fully seed-determined -- content-addressable by the request
         itself.
         """
-        import hashlib
-
         from repro.scenarios import scenario_names
 
         try:
@@ -941,6 +958,9 @@ class AnalysisDaemon:
             # win on store misses -- distinct from responses_from_cache,
             # which counts whole-model replays.
             "memo": None if self.memo is None else self.memo.stats(),
+            # Encoded model task fragments behind the store keys (parsed
+            # in this process at every topology).
+            "model_fragments": self.model_fragments.stats(),
             # Observability: per-endpoint request/error counters,
             # in-flight gauge, latency percentiles, detector window.
             "obs": self.obs.stats(),

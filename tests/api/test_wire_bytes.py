@@ -12,6 +12,7 @@ and models, and the memo tests hold fragment reuse to cold encodes.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -25,8 +26,9 @@ from hypothesis import strategies as st
 from repro.api import ControlTaskSystem, analyze, assign
 from repro.api.report import AnalysisReport, TaskVerdict
 from repro.api.service import AssignmentOutcome
+from repro.api.wire import model_json
 from repro.jittermargin.linearbound import LinearStabilityBound
-from repro.memo import AnalysisMemo
+from repro.memo import AnalysisMemo, FragmentStore
 from repro.rta.interface import ResponseTimes
 from repro.rta.taskset import Task, TaskSet
 from repro.search.result import AssignmentResult
@@ -371,3 +373,94 @@ class TestFragmentReuse:
         analyze(_golden_system()).report_json(memo=memo)
         assert memo.stats()["fragment_entries"] <= 3
         assert report.report_json(memo=memo) == report.report_json()
+
+
+# -- model task fragments through one shared store ---------------------------
+#: One small store shared by every example: entries are evicted, and a
+#: later example's key can meet an earlier example's equal-but-not-
+#: identical one.
+_MODEL_FRAGMENTS = FragmentStore(max_entries=12)
+
+
+def _spellings(value):
+    """Values equal to ``value`` (and hashing alike) that the model
+    writes apart: ``20``/``20.0``/numpy's, ``0.0``/``-0.0``, ``1``/``True``."""
+    if value is None:
+        return [None]
+    spellings = [float(value), np.float64(value)]
+    if float(value).is_integer():
+        spellings.append(int(value))
+    if value == 0:
+        spellings += [0.0, -0.0, np.float64(-0.0)]
+    if value == 1:
+        spellings.append(True)
+    return spellings
+
+
+_MODEL_TASKS = st.builds(
+    Task,
+    st.sampled_from(["t", "NaN", "~-Infinity"]),
+    period=st.sampled_from(_spellings(20)),
+    wcet=st.sampled_from(_spellings(5)),
+    bcet=st.sampled_from(_spellings(2) + [None]),
+    priority=st.sampled_from(_spellings(1) + [None, 2]),
+    stability=st.one_of(
+        st.none(),
+        st.builds(
+            LinearStabilityBound,
+            a=st.sampled_from(_spellings(1)),
+            b=st.sampled_from(_spellings(0) + _spellings(3)),
+        ),
+    ),
+    plant_name=st.sampled_from([None, "NaN"]),
+)
+
+
+def _one_field_twins(task):
+    """Every task equal to ``task`` but for one number's spelling."""
+    twins = []
+    for field in ("period", "wcet", "bcet", "priority"):
+        for value in _spellings(getattr(task, field)):
+            twins.append(dataclasses.replace(task, **{field: value}))
+    if task.stability is not None:
+        for field in ("a", "b"):
+            for value in _spellings(getattr(task.stability, field)):
+                bound = dataclasses.replace(task.stability, **{field: value})
+                twins.append(dataclasses.replace(task, stability=bound))
+    return twins
+
+
+class TestModelFragmentStore:
+    @settings(max_examples=100)
+    @given(tasks=st.lists(_MODEL_TASKS, min_size=1, max_size=3))
+    def test_store_bytes_equal_generic_bytes(self, tasks):
+        systems = [
+            ControlTaskSystem(taskset=TaskSet([twin]), name="m")
+            for task in tasks
+            for twin in [task] + _one_field_twins(task)
+        ]
+        for order in (systems, systems[::-1]):
+            for system in order:
+                expected = _result_of(lambda: canonical_dumps(system.to_dict()))
+                assert _result_of(
+                    lambda: model_json(system, fragments=_MODEL_FRAGMENTS)
+                ) == expected
+        assert _MODEL_FRAGMENTS.stats()["entries"] <= 12
+
+    def test_edited_model_reuses_all_but_the_edited_task(self):
+        store = FragmentStore()
+        system = _example()
+        base = model_json(system, fragments=store)
+        tasks = list(system.taskset)
+        tasks[-1] = dataclasses.replace(tasks[-1], wcet=tasks[-1].wcet * 1.25)
+        edited = ControlTaskSystem(
+            taskset=TaskSet(tasks), name=system.name,
+            priority_policy=system.priority_policy,
+        )
+        assert model_json(edited, fragments=store) == edited.canonical_json()
+        assert base == system.canonical_json()
+        assert store.stats() == {
+            "entries": len(tasks) + 1,
+            "hits": len(tasks) - 1,
+            "misses": len(tasks) + 1,
+        }

@@ -5,14 +5,18 @@ the batch-analysis path).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import ScheduleError
+from repro.errors import ModelError, ScheduleError
 from repro.memo import AnalysisMemo
 from repro.memo.core import EvaluationCounter
+from repro.rta.interface import TasksetAnalysis
 from repro.rta.taskset import Task, TaskSet
 
 from tests.memo._memo_population import random_taskset
@@ -98,6 +102,123 @@ class TestPopulationAnalysis:
         bounded = AnalysisMemo(max_entries=4).population_analysis(tasksets)
         fresh = AnalysisMemo().population_analysis(tasksets)
         assert bounded == fresh
+
+
+def _comprehension_analysis(memo, tasksets, counter):
+    """The reference: hp id lists from the quadratic comprehension that
+    ``population_analysis`` used before its keys came from one priority
+    order, keyed as ``frozenset(hp)`` -- the same batched ``_entries``
+    call, so only the key derivation differs."""
+    tids, hp_lists, task_lists = [], [], []
+    for taskset in tasksets:
+        taskset.check_distinct_priorities()
+        tasks = list(taskset)
+        ids = memo.intern_all(tasks)
+        priorities = [task.priority for task in tasks]
+        hp_lists.extend(
+            [ids[j] for j, other in enumerate(priorities) if other > priority]
+            for priority in priorities
+        )
+        tids.extend(ids)
+        task_lists.append(tasks)
+    entries = memo._entries(
+        tids, [frozenset(hp) for hp in hp_lists], hp_lists.__getitem__, counter
+    )
+    results, offset = [], 0
+    for tasks in task_lists:
+        results.append(
+            TasksetAnalysis.build(tasks, entries[offset : offset + len(tasks)])
+        )
+        offset += len(tasks)
+    return results
+
+
+def _bits(analyses):
+    """Every response time, bit for bit (``float.hex``), in task order."""
+    return [
+        [(name, t.best.hex(), t.worst.hex()) for name, t in a.times.items()]
+        for a in analyses
+    ]
+
+
+def _variant(taskset, rng, kind):
+    tasks = [task.copy() for task in taskset]
+    if kind == "shuffle":
+        rng.shuffle(tasks)
+    elif kind == "tail_edit":
+        # An edited model: the lowest-priority task's WCET moves.
+        k = min(range(len(tasks)), key=lambda i: tasks[i].priority)
+        task = tasks[k]
+        wcet = min(max(task.wcet * float(rng.uniform(0.5, 1.5)), task.bcet), task.period)
+        tasks[k] = dataclasses.replace(task, wcet=wcet)
+    elif kind == "float_priorities":
+        # Mixed int and float priorities, same order as ``>`` sees it.
+        tasks = [
+            dataclasses.replace(t, priority=t.priority + 0.5) if i % 2 else t
+            for i, t in enumerate(tasks)
+        ]
+    return TaskSet(tasks)
+
+
+class TestPriorityOrderKeys:
+    """hp-set keys from one priority order against the comprehension."""
+
+    @settings(max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 9),
+        kinds=st.lists(
+            st.sampled_from(["same", "shuffle", "tail_edit", "float_priorities"]),
+            min_size=1,
+            max_size=6,
+        ),
+        split=st.integers(1, 3),
+    )
+    def test_matches_comprehension_reference(self, seed, n, kinds, split):
+        rng = np.random.default_rng(seed)
+        base = random_taskset(rng, n)
+        tasksets = [base] + [_variant(base, rng, kind) for kind in kinds]
+        calls = [tasksets[k : k + split] for k in range(0, len(tasksets), split)]
+        for bound in (None, 5):
+            memo = AnalysisMemo(max_entries=bound)
+            reference = AnalysisMemo(max_entries=bound)
+            for call in calls:
+                counter, expected_counter = EvaluationCounter(), EvaluationCounter()
+                got = memo.population_analysis(call, counter)
+                expected = _comprehension_analysis(
+                    reference, call, expected_counter
+                )
+                assert _bits(got) == _bits(expected)
+                assert got == expected
+                assert (counter.count, counter.hits) == (
+                    expected_counter.count, expected_counter.hits,
+                )
+            # The same stored keys and values, in the same LRU order.
+            assert list(memo.memo.items()) == list(reference.memo.items())
+            assert memo.stats() == {
+                **reference.stats(), "kernel_seconds": memo.kernel_seconds
+            }
+
+
+class TestNanPriority:
+    def test_check_rejects_nan_priority(self):
+        tasks = [
+            Task(name="a", period=10.0, wcet=1.0, priority=2),
+            Task(name="b", period=10.0, wcet=1.0, priority=float("nan")),
+        ]
+        with pytest.raises(ModelError, match="task 'b' has a NaN priority"):
+            TaskSet(tasks).check_distinct_priorities()
+
+    def test_population_analysis_rejects_nan_priority(self):
+        # A NaN priority compares false both ways; the priority order
+        # the hp keys are built from would be arbitrary.
+        (taskset,) = _population(seed=77, sets=1, n=4)
+        tasks = list(taskset)
+        tasks[1] = dataclasses.replace(tasks[1], priority=float("nan"))
+        memo = AnalysisMemo()
+        with pytest.raises(ModelError, match="NaN priority"):
+            memo.population_analysis([TaskSet(tasks)])
+        assert memo.stats()["evaluations"] == 0
 
 
 class TestTaskVerdictMemoRoute:

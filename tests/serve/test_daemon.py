@@ -375,7 +375,69 @@ class TestRequestRobustness:
         assert daemon.store.stats()["entries"] == puts_before
 
 
+def _edited_after_base(client, model):
+    """Serve ``model``, then a one-WCET edit of it and the edit's
+    ``b = -0.0`` twin; the model-fragment counters after each step."""
+    counts = [client.stats()["model_fragments"]]
+    status, headers, _ = client.analyze_full(model)
+    assert status == 200
+    counts.append(client.stats()["model_fragments"])
+    edited = json.loads(json.dumps(model))
+    edited["tasks"][-1]["wcet"] = 0.007
+    status, headers, body = client.analyze_full(edited)
+    assert status == 200 and headers["x-repro-source"] == "computed"
+    assert body.decode() == analyze(
+        ControlTaskSystem.from_dict(edited)
+    ).report_json()
+    counts.append(client.stats()["model_fragments"])
+    # Equal to a b = 0.0 twin field by field, so only the sign of the
+    # zero in the store key keeps the twin from replaying its entry.
+    for b in (0.0, -0.0):
+        twin = json.loads(json.dumps(edited))
+        twin["priority_policy"] = "rate_monotonic"
+        twin["tasks"][2]["stability"] = {"a": 1.0, "b": b}
+        status, headers, body = client.analyze_full(twin)
+        assert status == 200 and headers["x-repro-source"] == "computed"
+        assert body.decode() == analyze(
+            ControlTaskSystem.from_dict(twin)
+        ).report_json()
+    return counts
+
+
 class TestTopology:
+    def test_serial_edited_model_hits_model_fragments(
+        self, daemon_client, example_model
+    ):
+        _, client = daemon_client
+        empty, base, edited = _edited_after_base(client, example_model)
+        n = len(example_model["tasks"])
+        assert empty == {"entries": 0, "hits": 0, "misses": 0}
+        assert base == {"entries": n, "hits": 0, "misses": n}
+        assert edited == {"entries": n + 1, "hits": n - 1, "misses": n + 1}
+        # /v1/metrics flattens the block like every other stats counter.
+        assert "repro_stats_model_fragments_hits " in client.metrics()
+
+    def test_pooled_edited_model_hits_model_fragments(
+        self, tmp_path, example_model
+    ):
+        # The parse runs in the daemon process at every topology, so
+        # one store serves the pool too.
+        daemon = AnalysisDaemon(
+            port=0, batch_window=0.002, jobs=2, cache_dir=str(tmp_path)
+        )
+        thread = run_daemon_in_thread(daemon)
+        client = wait_until_ready(daemon.host, daemon.port)
+        try:
+            _, base, edited = _edited_after_base(client, example_model)
+            assert edited["hits"] - base["hits"] == len(example_model["tasks"]) - 1
+            assert edited["misses"] - base["misses"] == 1
+        finally:
+            try:
+                client.shutdown()
+            except ServeClientError:
+                pass
+            thread.join(timeout=10)
+
     def test_default_batch_window_follows_topology(self):
         # --jobs 1 computes a batch model by model: no idle window.
         assert AnalysisDaemon(port=0).batcher.window == 0.0

@@ -13,6 +13,7 @@ import json
 import multiprocessing
 import os
 import signal
+import time
 
 import pytest
 
@@ -32,6 +33,11 @@ def _kill_worker(pid):
     (worker,) = [p for p in multiprocessing.active_children() if p.pid == pid]
     os.kill(pid, signal.SIGKILL)
     worker.join(timeout=10)
+    # The executor's own thread may reap the worker first; its exit code
+    # then lands on the shared process object a moment later.
+    deadline = time.monotonic() + 10
+    while worker.exitcode is None and time.monotonic() < deadline:
+        time.sleep(0.001)
     assert worker.exitcode == -signal.SIGKILL
 
 
@@ -140,6 +146,17 @@ class TestCrashFailover:
         assert after["worker_crashes"] >= 1
         assert after["failover_items"] >= 1
         assert after["batches"] == before["batches"] + 1
+
+    def test_worker_killed_between_plans_is_counted_once(self, pool, systems):
+        # The worker is dead (and reaped) before the plan is submitted:
+        # the plan must count exactly that one crash, whichever worker
+        # the executor would have handed the slices to.
+        direct = [analyze(system).report_json() for system in systems]
+        for trial in range(20):
+            _kill_worker(pool.worker_pids()[trial % 2])
+            results = compute_models(("analyze",), systems, pool=pool)
+            assert [body for _, body, _ in results] == direct
+            assert pool.stats()["worker_crashes"] == trial + 1
 
 
 class _RecordingPool:
