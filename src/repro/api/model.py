@@ -124,17 +124,16 @@ class ControlTaskSystem:
 
         Memoised on the instance; raises :class:`ScheduleError` when the
         priority policy fails to produce a complete assignment and
-        :class:`ModelError` when ``as_given`` is requested on a task set
-        without distinct priorities.
+        :class:`ModelError` when the priorities are not distinct (or one
+        is NaN).  The façade's memoised analysis relies on that check and
+        does not repeat it.
         """
         cached = self.__dict__.get("_cache_resolved")
         if cached is not None:
             return cached
         taskset = self.bound_taskset()
         assigner = PRIORITY_POLICIES[self.priority_policy]
-        if assigner is None:
-            taskset.check_distinct_priorities()
-        else:
+        if assigner is not None:
             result = assigner(taskset)
             if result.priorities is None:
                 raise ScheduleError(
@@ -142,6 +141,7 @@ class ControlTaskSystem:
                     f"{self.priority_policy!r} found no priority assignment"
                 )
             taskset = result.apply_to(taskset)
+        taskset.check_distinct_priorities()
         object.__setattr__(self, "_cache_resolved", taskset)
         return taskset
 
@@ -243,9 +243,10 @@ def _task_from_entry(index: int, entry: Any) -> Task:
     """One task entry of the model schema, each field converted once.
 
     An error names the first bad field in the boundary's order: the
-    entry's shape, then non-finite numbers (:func:`_nonfinite_error`),
-    then fields that do not convert (period, wcet, bcet, priority, a,
-    b), then the bound's and the task's own checks.
+    entry's shape, then booleans (:func:`_boolean_error`), then
+    non-finite numbers (:func:`_nonfinite_error`), then fields that do
+    not convert (period, wcet, bcet, priority, a, b), then the bound's
+    and the task's own checks.
     """
     if not isinstance(entry, dict):
         raise ModelError(
@@ -265,19 +266,35 @@ def _task_from_entry(index: int, entry: Any) -> Task:
             f"task entry {index}: 'stability' must be an object "
             "with fields 'a' and 'b'"
         )
+    period = entry["period"]
+    wcet = entry["wcet"]
     bcet = entry.get("bcet")
     priority = entry.get("priority")
     plant = entry.get("plant")
+    a = b = None
+    if stability is not None:
+        a = stability["a"]
+        b = stability["b"]
+    # ``float(True)`` is 1.0: a JSON ``true`` must not become a number.
+    if (
+        type(period) is bool
+        or type(wcet) is bool
+        or type(bcet) is bool
+        or type(priority) is bool
+        or type(a) is bool
+        or type(b) is bool
+    ):
+        raise _boolean_error(index, entry, stability)
     try:
-        period = float(entry["period"])
-        wcet = float(entry["wcet"])
+        period = float(period)
+        wcet = float(wcet)
         if bcet is not None:
             bcet = float(bcet)
         if priority is not None:
             priority = int(priority)
         if stability is not None:
-            a = float(stability["a"])
-            b = float(stability["b"])
+            a = float(a)
+            b = float(b)
     except _UNCONVERTIBLE as exc:
         # A non-finite field elsewhere in the entry is reported first.
         raise _nonfinite_error(index, entry, stability) or ModelError(
@@ -306,6 +323,26 @@ def _task_from_entry(index: int, entry: Any) -> Task:
         raise ModelError(
             f"task entry {index} has a malformed field: {exc}"
         ) from exc
+
+
+def _boolean_error(
+    index: int, entry: Dict[str, Any], stability: Optional[Dict[str, Any]]
+) -> ModelError:
+    """The error for an entry's first boolean number field.
+
+    Checked in the order ``period``, ``wcet``, ``bcet``, ``priority``,
+    ``a``, ``b``; the caller has seen at least one.
+    """
+    fields = [
+        (name, entry.get(name)) for name in ("period", "wcet", "bcet", "priority")
+    ]
+    if stability is not None:
+        fields += [
+            (f"stability coefficient {coeff!r}", stability[coeff])
+            for coeff in ("a", "b")
+        ]
+    label, raw = next(field for field in fields if type(field[1]) is bool)
+    return ModelError(f"task entry {index}: {label} must be a number, got {raw!r}")
 
 
 def _nonfinite_error(

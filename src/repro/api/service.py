@@ -125,9 +125,9 @@ def analyze(
     cached = system.__dict__.get("_cache_report")
     if cached is not None:
         return cached
-    taskset = system.resolved_taskset()
+    taskset = system.resolved_taskset()  # priorities checked here
     if memo is not None:
-        (analysis,) = memo.population_analysis([taskset])
+        (analysis,) = memo._population_analysis([taskset])
     else:
         analysis = analyze_taskset(taskset)
     return _finish_report(system, taskset, analysis)
@@ -524,9 +524,10 @@ def _analyze_inline_population(
         else:
             pending.append(k)
     if pending:
+        # Priorities checked by ``resolved_taskset``.
         tasksets = [systems[k].resolved_taskset() for k in pending]
         if memo is not None:
-            analyses = memo.population_analysis(tasksets)
+            analyses = memo._population_analysis(tasksets)
         else:
             analyses = analyze_population(tasksets)
         for k, taskset, analysis in zip(pending, tasksets, analyses):

@@ -293,6 +293,20 @@ class AnalysisMemo:
         (:meth:`_hp_keys`).  Only a memo miss builds its hp id *list*
         (:meth:`_entries`).
         """
+        for taskset in tasksets:
+            # Distinct and not NaN: the priority sort orders tasks
+            # exactly as ``>`` does.
+            taskset.check_distinct_priorities()
+        return self._population_analysis(tasksets, counter)
+
+    def _population_analysis(
+        self,
+        tasksets: Sequence[TaskSet],
+        counter: Optional[EvaluationCounter] = None,
+    ) -> List[TasksetAnalysis]:
+        """:meth:`population_analysis` of sets whose priorities are
+        already checked (:meth:`repro.api.ControlTaskSystem
+        .resolved_taskset` checks every set it resolves)."""
         if counter is None:
             counter = EvaluationCounter()
         task_lists: List[List[Task]] = []
@@ -301,9 +315,6 @@ class AnalysisMemo:
         # Per input position: ``(ids, priorities, offset)`` of its set.
         owners: List[Tuple[List[int], List[Any], int]] = []
         for taskset in tasksets:
-            # Distinct and not NaN: the sort below orders tasks exactly
-            # as ``>`` does.
-            taskset.check_distinct_priorities()
             tasks = list(taskset)
             ids = self.intern_all(tasks)
             priorities = [task.priority for task in tasks]

@@ -168,18 +168,20 @@ def compute_model(
     ``group`` is ``("analyze",)`` or ``("assign", algorithm)``.  ``meta``
     carries the report summary (analyze) and, when ``memo`` is given,
     this model's memo deltas.  ``memo`` has one writer at a time (the
-    dispatch thread, or a pool worker), so the before/after snapshots
-    delimit exactly this model's evaluations.  ``assign`` routes only
-    its validation analysis through the memo: a warm *search* memo
-    would change the outcome's canonical ``cache_hits`` and break byte
-    identity with cold façade calls.
+    dispatch thread, or a pool worker), so its two counters read before
+    and after delimit exactly this model's evaluations.  ``assign``
+    routes only its validation analysis through the memo: a warm
+    *search* memo would change the outcome's canonical ``cache_hits``
+    and break byte identity with cold façade calls.
 
     Every body is one typed encoding pass (:mod:`repro.api.wire`).  An
     analyze body reuses the verdict fragments in ``memo``, so an edited
     model re-encodes only the verdicts that changed, and its summary is
     the rollup of that same pass.
     """
-    before = None if memo is None else memo.stats()
+    if memo is not None:
+        total = memo.total
+        count, hits = total.count, total.hits
     meta: Dict[str, Any] = {}
     # Broad catch: isolation covers *any* per-model failure (a NaN-period
     # model dies in the numeric kernels with a ValueError, not a
@@ -195,11 +197,10 @@ def compute_model(
             ).outcome_json()
     except Exception as exc:  # noqa: BLE001 -- isolate the poisoned model
         return False, _json_body({"error": str(exc)}), None
-    if before is not None:
-        after = memo.stats()
-        meta["memo_hits"] = after["cache_hits"] - before["cache_hits"]
+    if memo is not None:
+        meta["memo_hits"] = total.hits - hits
         meta["memo_recomputations"] = (
-            after["recomputations"] - before["recomputations"]
+            total.count - count - meta["memo_hits"]
         )
     return True, body, meta or None
 

@@ -66,9 +66,12 @@ class UniformExecution(ExecutionTimeModel):
     """Execution times drawn uniformly from ``[c^b, c^w]`` per job."""
 
     def sample(self, task: Task, job_index: int, rng: np.random.Generator) -> float:
-        if task.wcet == task.bcet:
-            return task.wcet
-        return float(rng.uniform(task.bcet, task.wcet))
+        bcet, wcet = task.bcet, task.wcet
+        if wcet == bcet:
+            return wcet
+        # ``rng.uniform(bcet, wcet)``'s own formula on the same single
+        # double, bit for bit, without the call's argument handling.
+        return bcet + (wcet - bcet) * rng.random()
 
 
 class BurstyExecution(ExecutionTimeModel):

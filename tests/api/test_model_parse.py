@@ -156,10 +156,42 @@ REJECTED = [
         [_BASE, _BASE],
         "duplicate task names in task set: ['t', 't']",
     ),
+    # JSON booleans are not numbers, though float(True) is 1.0.
+    ("priority_bool", [_entry(priority=True)], "task entry 0: priority must be a number, got True"),
+    (
+        "b_bool",
+        [_entry(stability={"a": 1.5, "b": True})],
+        "task entry 0: stability coefficient 'b' must be a number, got True",
+    ),
+    (
+        "a_bool",
+        [_entry(stability={"a": False, "b": 8.0})],
+        "task entry 0: stability coefficient 'a' must be a number, got False",
+    ),
+    ("period_bool", [_entry(period=True)], "task entry 0: period must be a number, got True"),
+    ("wcet_bool", [_entry(wcet=False)], "task entry 0: wcet must be a number, got False"),
+    ("bcet_bool", [_entry(bcet=True)], "task entry 0: bcet must be a number, got True"),
     # Several bad fields in one entry: the first one reported is the
-    # first in the boundary's order -- shape, then non-finite values
-    # (a, b, period, wcet, bcet), then unconvertible ones (period, wcet,
-    # bcet, priority, a, b), then the bound's and the task's own checks.
+    # first in the boundary's order -- shape, then booleans (period,
+    # wcet, bcet, priority, a, b), then non-finite values (a, b, period,
+    # wcet, bcet), then unconvertible ones (period, wcet, bcet, priority,
+    # a, b), then the bound's and the task's own checks.
+    ("shape_before_bool", [_entry(stability=3, period=True)], _SHAPE),
+    (
+        "bool_before_nan",
+        [_entry(period=_NAN, priority=True)],
+        "task entry 0: priority must be a number, got True",
+    ),
+    (
+        "bool_before_unconvertible",
+        [_entry(period="x", stability={"a": 1.5, "b": True})],
+        "task entry 0: stability coefficient 'b' must be a number, got True",
+    ),
+    (
+        "priority_bool_before_a_bool",
+        [_entry(priority=False, stability={"a": True, "b": 8.0})],
+        "task entry 0: priority must be a number, got False",
+    ),
     (
         "name_missing_before_shape",
         [_entry(name=_DROP, stability=3)],
@@ -248,7 +280,6 @@ ACCEPTED = [
     ("bcet_null", _entry(bcet=None), ("t", 20.0, 2.0, 2.0, 1, 1.2, 8.0, None)),
     ("priority_absent", _entry(priority=_DROP), ("t", 20.0, 2.0, 1.0, None, 1.2, 8.0, None)),
     ("priority_float", _entry(priority=2.7), ("t", 20.0, 2.0, 1.0, 2, 1.2, 8.0, None)),
-    ("priority_bool", _entry(priority=True), ("t", 20.0, 2.0, 1.0, 1, 1.2, 8.0, None)),
     (
         "plant_without_stability",
         _entry(stability=_DROP, plant="dc_servo"),
@@ -257,7 +288,6 @@ ACCEPTED = [
     ("stability_null", _entry(stability=None), ("t", 20.0, 2.0, 1.0, 1, None, None, None)),
     ("plant_number", _entry(stability=_DROP, plant=5), ("t", 20.0, 2.0, 1.0, 1, None, None, "5")),
     ("name_number", _entry(name=7), ("7", 20.0, 2.0, 1.0, 1, 1.2, 8.0, None)),
-    ("b_bool", _entry(stability={"a": 1.5, "b": True}), ("t", 20.0, 2.0, 1.0, 1, 1.5, 1.0, None)),
     ("b_zero", _entry(stability={"a": 1.5, "b": 0}), ("t", 20.0, 2.0, 1.0, 1, 1.5, 0.0, None)),
 ]
 

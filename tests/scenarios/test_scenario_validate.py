@@ -116,10 +116,24 @@ class TestScenarioPins:
         "transient_overload": "0c3b838097b9228ab58fac80a29c81469e069c5dd86435723392cd13e898797e",
     }
 
+    #: The benchmark's own pins (``perfbench/run.py`` ``SCENARIO_PINS``,
+    #: seed 7): its ``scenarios`` workload validates these two at 8
+    #: instances and the default horizon, so a change that would fail the
+    #: benchmark's correctness gate fails here first.
+    BENCHMARK_PINS = {
+        "benchmark_baseline": "056647d6344506f6799a3278b5e7dc07ef9dc3a797959370d847b120889a0380",
+        "transient_overload": "589849272a015c74612eb0716a877223b16a58d2068301e4121a7b79a00f48ef",
+    }
+
     @pytest.mark.parametrize("name", sorted(PINS))
     def test_report_sha_is_pinned(self, name):
         validation = validate_scenario(name, instances=2, horizon_periods=40)
         assert validation.canonical_sha256 == self.PINS[name]
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_PINS))
+    def test_benchmark_sha_is_pinned(self, name):
+        validation = validate_scenario(name, instances=8, seed=7)
+        assert validation.canonical_sha256 == self.BENCHMARK_PINS[name]
 
 
 def _file_sha(path) -> str:

@@ -310,6 +310,21 @@ class TestRequestRobustness:
         assert "finite" in json.loads(body)["error"]
         assert client.health()["status"] == "ok"
 
+    def test_boolean_number_model_is_rejected_400(self, daemon_client):
+        """``float(True)`` is 1.0: a JSON ``true`` where a number belongs
+        is a client error, not a period of one second."""
+        _, client = daemon_client
+        bool_model = json.loads(
+            '{"name": "bool-period", "tasks": '
+            '[{"name": "a", "period": true, "wcet": 0.1, "priority": 2}]}'
+        )
+        status, body = client.analyze_raw(bool_model)
+        assert status == 400
+        assert json.loads(body)["error"] == (
+            "task entry 0: period must be a number, got True"
+        )
+        assert client.health()["status"] == "ok"
+
     def test_non_repro_error_is_isolated_per_item(self, daemon_client):
         """The dispatch isolation guarantee covers *any* exception, not
         just ReproError: a payload that explodes with an AttributeError

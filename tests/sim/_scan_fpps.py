@@ -5,6 +5,10 @@ event it rescans all tasks for due releases and all pending jobs for the
 highest priority, which is slow but obviously right; the shipped
 heap-driven scheduler must reproduce its traces record for record.
 The body below is kept exactly as it shipped; do not optimise it.
+
+:class:`ReferenceUniformExecution` is ``UniformExecution`` as it shipped
+through v5.0.0, one ``rng.uniform`` call per job, so that the oracle's
+side also draws execution times the old way.
 """
 
 from __future__ import annotations
@@ -167,3 +171,12 @@ def simulate_fpps(
 
 def _priority_of(taskset: TaskSet, name: str) -> int:
     return taskset.by_name(name).priority  # type: ignore[return-value]
+
+
+class ReferenceUniformExecution(ExecutionTimeModel):
+    """Execution times drawn uniformly from ``[c^b, c^w]`` per job."""
+
+    def sample(self, task: Task, job_index: int, rng: np.random.Generator) -> float:
+        if task.wcet == task.bcet:
+            return task.wcet
+        return float(rng.uniform(task.bcet, task.wcet))

@@ -17,6 +17,7 @@ from repro.sim.workload import (
     WorstCaseExecution,
     per_task_execution,
 )
+from tests.sim._scan_fpps import ReferenceUniformExecution
 from tests.sim._scan_fpps import simulate_fpps as scan_simulate_fpps
 
 
@@ -106,28 +107,43 @@ def _near(values):
 
 
 def _execution_models(names):
-    base = st.one_of(
+    """``(shipped, reference)`` twins of one execution-model tree.
+
+    They differ only in their uniform draws: the reference side keeps
+    ``rng.uniform``, so the oracle also sees a change to the draw.
+    """
+    same = st.one_of(
         st.just(WorstCaseExecution()),
         st.just(BestCaseExecution()),
-        st.just(UniformExecution()),
         st.builds(
             BurstyExecution,
             burst_every=st.integers(1, 4),
             phase=st.integers(0, 3),
         ),
+    ).map(lambda model: (model, model))
+    base = same | st.just((UniformExecution(), ReferenceUniformExecution()))
+    overload = st.tuples(
+        base,
+        st.sampled_from(names),
+        st.floats(0.5, 3.0),
+        st.integers(0, 3),
+        st.integers(1, 3),
+    ).map(
+        lambda drawn: tuple(
+            OverloadWindow(side, *drawn[1:]) for side in drawn[0]
+        )
     )
-    overload = st.builds(
-        OverloadWindow,
-        base=base,
-        task_name=st.sampled_from(names),
-        factor=st.floats(0.5, 3.0),
-        start_job=st.integers(0, 3),
-        n_jobs=st.integers(1, 3),
-    )
-    per_task = st.builds(
-        per_task_execution,
+    per_task = st.tuples(
         st.dictionaries(st.sampled_from(names), base, max_size=len(names)),
-        default=base,
+        base,
+    ).map(
+        lambda drawn: tuple(
+            per_task_execution(
+                {name: pair[side] for name, pair in drawn[0].items()},
+                default=drawn[1][side],
+            )
+            for side in (0, 1)
+        )
     )
     return st.one_of(base, overload, per_task)
 
@@ -175,9 +191,11 @@ class TestAgainstScanReference:
     @settings(max_examples=300)
     @given(_scheduling_problems())
     def test_traces_match_record_for_record(self, problem):
-        taskset, duration, model, offsets, seed = problem
-        kwargs = dict(execution_model=model, offsets=offsets, seed=seed)
-        got = simulate_fpps(taskset, duration, **kwargs)
-        want = scan_simulate_fpps(taskset, duration, **kwargs)
+        taskset, duration, (model, reference_model), offsets, seed = problem
+        kwargs = dict(offsets=offsets, seed=seed)
+        got = simulate_fpps(taskset, duration, execution_model=model, **kwargs)
+        want = scan_simulate_fpps(
+            taskset, duration, execution_model=reference_model, **kwargs
+        )
         assert got.duration == want.duration
         assert _fields(got) == _fields(want)

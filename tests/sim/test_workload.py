@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ModelError
 from repro.rta.taskset import Task
@@ -43,6 +45,43 @@ class TestBasicModels:
     def test_uniform_degenerate_interval(self, rng):
         fixed = Task(name="f", period=1.0, wcet=0.5, bcet=0.5)
         assert UniformExecution().sample(fixed, 0, rng) == pytest.approx(0.5)
+
+
+_TIMES = st.floats(
+    min_value=0.0, max_value=1e300, exclude_min=True, allow_nan=False
+)
+
+
+class TestUniformDrawIdentity:
+    """``UniformExecution`` computes ``Generator.uniform``'s formula
+    itself; these pin that it is the same draw, bit for bit, at the same
+    stream position.  A numpy build that fused ``low + range * u`` into
+    one FMA would fail here."""
+
+    @settings(max_examples=300)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        times=st.tuples(_TIMES, _TIMES).filter(lambda pair: pair[0] != pair[1]),
+        draws=st.integers(1, 4),
+    )
+    def test_matches_generator_uniform_bit_for_bit(self, seed, times, draws):
+        bcet, wcet = sorted(times)
+        task = Task(name="t", period=wcet, wcet=wcet, bcet=bcet)
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        for k in range(draws):
+            got = UniformExecution().sample(task, k, rng)
+            want = float(twin.uniform(bcet, wcet))
+            assert type(got) is float
+            assert got.hex() == want.hex()
+        # The same stream position: the next draws agree.
+        assert rng.random() == twin.random()
+
+    @given(seed=st.integers(0, 2**64 - 1), value=_TIMES)
+    def test_degenerate_interval_draws_nothing(self, seed, value):
+        task = Task(name="f", period=value, wcet=value, bcet=value)
+        rng, untouched = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert UniformExecution().sample(task, 0, rng) == value
+        assert rng.random() == untouched.random()
 
 
 class TestPerTask:
