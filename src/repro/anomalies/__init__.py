@@ -21,6 +21,7 @@ from repro.anomalies.census import AnomalyCensus
 from repro.anomalies.detectors import (
     all_anomalies,
     jitter_after_priority_raise,
+    population_anomalies,
     priority_raise_anomalies,
     wcet_decrease_anomalies,
     period_increase_anomalies,
@@ -39,6 +40,7 @@ from repro.anomalies.sensitivity import (
 
 __all__ = [
     "all_anomalies",
+    "population_anomalies",
     "jitter_after_priority_raise",
     "priority_raise_anomalies",
     "wcet_decrease_anomalies",

@@ -15,13 +15,18 @@ than whole algorithm runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.anomalies.detectors import AnomalyEvent, all_anomalies
+from repro.anomalies.detectors import (
+    AnomalyEvent,
+    all_anomalies,
+    population_anomalies,
+)
 from repro.assignment.backtracking import assign_backtracking
 from repro.benchgen.taskgen import BenchmarkConfig, generate_control_taskset
+from repro.rta.taskset import TaskSet
 
 
 @dataclass
@@ -80,19 +85,61 @@ def census_benchmark(
     generator protocol as the benchmark suite -- so census sweeps can be
     chunked and parallelised freely without changing a single count.
     """
+    assigned = _assigned_benchmark(n_tasks, index, seed, config)
+    events = [] if assigned is None else all_anomalies(assigned)
+    return _benchmark_census(assigned, events)
+
+
+def census_benchmarks(
+    benchmarks: Sequence[Tuple[int, int]],
+    *,
+    seed: int = 99,
+    config: Optional[BenchmarkConfig] = None,
+) -> List[BenchmarkCensus]:
+    """:func:`census_benchmark` of every ``(n_tasks, index)``, in order.
+
+    Each benchmark is drawn and searched alone; the detectors then run
+    once for all the feasible ones (:func:`~repro.anomalies.detectors
+    .population_anomalies`), and the counts come from the same
+    :class:`BenchmarkCensus` code.  Equal to ``[census_benchmark(n,
+    index, seed=seed, config=config) for n, index in benchmarks]``.
+    """
+    assigned = [
+        _assigned_benchmark(n_tasks, index, seed, config)
+        for n_tasks, index in benchmarks
+    ]
+    events = iter(
+        population_anomalies([ts for ts in assigned if ts is not None])
+    )
+    return [
+        _benchmark_census(ts, [] if ts is None else next(events))
+        for ts in assigned
+    ]
+
+
+def _assigned_benchmark(
+    n_tasks: int, index: int, seed: int, config: Optional[BenchmarkConfig]
+) -> Optional[TaskSet]:
+    """The benchmark with its backtracking priorities, or ``None``."""
     rng = np.random.default_rng([seed, n_tasks, index])
     taskset = generate_control_taskset(n_tasks, rng, config=config)
     result = assign_backtracking(taskset, max_evaluations=100_000)
     if result.priorities is None:
+        return None
+    return result.apply_to(taskset)
+
+
+def _benchmark_census(
+    assigned: Optional[TaskSet], events: List[AnomalyEvent]
+) -> BenchmarkCensus:
+    if assigned is None:
         return BenchmarkCensus(feasible=False, moves_checked={}, events=[])
-    assigned = result.apply_to(taskset)
     pairs = _interferer_pairs(len(assigned))
     checked = {
         "priority_raise": len(assigned) - 1,
         "wcet_decrease": pairs,
         "period_increase": pairs,
     }
-    events = all_anomalies(assigned)
     return BenchmarkCensus(feasible=True, moves_checked=checked, events=events)
 
 

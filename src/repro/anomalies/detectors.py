@@ -19,6 +19,12 @@ change that intuition says can only help:
 A detected anomaly is reported as an :class:`AnomalyEvent` carrying the
 before/after interfaces and slacks so experiments can rank severity (a
 slack-sign flip is a *destabilising* anomaly).
+
+Every move of every family is one row of a
+:class:`~repro.rta.popbatch.PopulationArrays` stack next to the
+unperturbed rows of the analysis, so any number of task sets is
+evaluated in one stacked pass (:func:`population_anomalies`); the
+per-set functions are its one-set case.
 """
 
 from __future__ import annotations
@@ -26,13 +32,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.api.service import task_verdict
 from repro.errors import ModelError
-from repro.memo.kernels import _NAME as _R_NAME
-from repro.memo.kernels import make_record
 from repro.rta.interface import ResponseTimes
-from repro.rta.popbatch import Problem, evaluate_problems
+
+# ``evaluate_problems`` stays importable from here: the traced census of
+# ``perfbench/child.py`` wraps ``repro.anomalies.detectors
+# .evaluate_problems`` by name.
+from repro.rta.popbatch import PopulationArrays, evaluate_problems  # noqa: F401
 from repro.rta.taskset import Task, TaskSet
+
+#: The families in the order :func:`all_anomalies` reports them.
+_KINDS = ("priority_raise", "wcet_decrease", "period_increase")
+
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -61,223 +76,153 @@ class AnomalyEvent:
         )
 
 
-def _interface_and_slack(
-    task: Task, hp: Sequence[Task]
-) -> Tuple[ResponseTimes, Optional[float]]:
-    """One task's interface + slack, through the analysis façade.
-
-    The verdict's ``slack`` convention (``None`` without a bound,
-    ``-inf`` for bounded deadline-missers) is exactly what
-    :func:`_is_worse` compares.
-    """
-    verdict = task_verdict(task, hp)
-    return verdict.times, verdict.slack
-
-
-#: One planned before/after comparison: the observed task plus the
-#: detector's change label.  The two fixed-point problems of the pair
-#: live in a companion problem list, flattened as ``(before_0, after_0,
-#: before_1, ...)`` -- the exact order the serial detectors evaluate
-#: them in, so a :class:`~repro.errors.ScheduleError` raises on the
-#: same problem.
-_PairInfo = Tuple[Task, str]
-
-
-def _record(task: Task):
-    return make_record(
-        task.period, task.wcet, task.bcet, task.stability, task.name
-    )
-
-
-def _before_hp_map(tasks: Sequence[Task], records: dict) -> dict:
-    """One shared unperturbed hp record list per observed task.
-
-    Every family's "before" problem reuses the task's *same list
-    object*, so the population kernel's identity-keyed dedup collapses
-    the repeats (per interferer and across families) without comparing
-    contents.  Enumeration order is task-set order, exactly what each
-    builder's inline filter produced.
-    """
-    return {
-        task.name: [
-            records[t.name] for t in tasks if t.priority > task.priority
-        ]
-        for task in tasks
-    }
-
-
-def _priority_raise_pairs(
-    taskset: TaskSet,
-    records: Optional[dict] = None,
-    before_hp: Optional[dict] = None,
-) -> Tuple[List[Problem], List[_PairInfo]]:
-    """Before/after problems of every one-level priority raise.
-
-    Record-level construction, no swapped :class:`TaskSet` per raise:
-    after swapping with the task exactly one level above, the raised
-    task's hp-set is its original hp-set minus that task (no priority
-    lies strictly between the two, by construction), enumerated in
-    unchanged task-set order -- exactly what ``swapped.higher_priority``
-    yields.  The raised task's own record is unchanged (priority is not
-    part of a :class:`~repro.memo.kernels.TaskRecord`).
-    """
-    taskset.check_distinct_priorities()
-    tasks = list(taskset)
-    if records is None:
-        records = {t.name: _record(t) for t in tasks}
-    if before_hp is None:
-        before_hp = _before_hp_map(tasks, records)
-    problems: List[Problem] = []
-    info: List[_PairInfo] = []
-    for task in taskset.sorted_by_priority(descending=False)[:-1]:
-        above = _task_one_level_above(taskset, task)
-        hp_before = before_hp[task.name]
-        problems.append((records[task.name], hp_before))
-        problems.append(
-            (
-                records[task.name],
-                [r for r in hp_before if r[_R_NAME] != above.name],
-            )
-        )
-        info.append((task, f"swap above {above.name}"))
-    return problems, info
-
-
-def _wcet_decrease_pairs(
-    taskset: TaskSet,
+def _check(
+    tasksets: Sequence[TaskSet],
+    kinds: Sequence[str],
     shrink: float,
-    records: Optional[dict] = None,
-    before_hp: Optional[dict] = None,
-) -> Tuple[List[Problem], List[_PairInfo]]:
-    """Before/after problems of every (interferer sped up, observed) pair.
-
-    Priorities are untouched, so the changed task set's hp enumeration
-    is the original one with the interferer's record rescaled; the
-    scaled record repeats the replace-then-record arithmetic
-    (``wcet * shrink``, ``bcet * shrink``) float for float.
-    """
-    if not (0 < shrink < 1):
-        raise ModelError(f"shrink factor must be in (0,1), got {shrink}")
-    taskset.check_distinct_priorities()
-    tasks = list(taskset)
-    if records is None:
-        records = {t.name: _record(t) for t in tasks}
-    if before_hp is None:
-        before_hp = _before_hp_map(tasks, records)
-    problems: List[Problem] = []
-    info: List[_PairInfo] = []
-    for interferer in tasks:
-        scaled = make_record(
-            interferer.period,
-            interferer.wcet * shrink,
-            interferer.bcet * shrink,
-            interferer.stability,
-            interferer.name,
-        )
-        for task in tasks:
-            if task.priority >= interferer.priority:
-                continue
-            hp = before_hp[task.name]
-            problems.append((records[task.name], hp))
-            problems.append(
-                (
-                    records[task.name],
-                    [
-                        scaled if r[_R_NAME] == interferer.name else r
-                        for r in hp
-                    ],
-                )
-            )
-            info.append(
-                (task, f"{interferer.name} executed {shrink:g}x faster")
-            )
-    return problems, info
-
-
-def _period_increase_pairs(
-    taskset: TaskSet,
     stretch: float,
-    records: Optional[dict] = None,
-    before_hp: Optional[dict] = None,
-) -> Tuple[List[Problem], List[_PairInfo]]:
-    """Before/after problems of every (interferer slowed down, observed)
-    pair; same record-level construction as :func:`_wcet_decrease_pairs`."""
-    if stretch <= 1:
-        raise ModelError(f"stretch factor must exceed 1, got {stretch}")
-    taskset.check_distinct_priorities()
-    tasks = list(taskset)
-    if records is None:
-        records = {t.name: _record(t) for t in tasks}
-    if before_hp is None:
-        before_hp = _before_hp_map(tasks, records)
-    problems: List[Problem] = []
-    info: List[_PairInfo] = []
-    for interferer in tasks:
-        if interferer.wcet > interferer.period * stretch:
-            continue
-        stretched = make_record(
-            interferer.period * stretch,
-            interferer.wcet,
-            interferer.bcet,
-            interferer.stability,
-            interferer.name,
-        )
-        for task in tasks:
-            if task.priority >= interferer.priority:
-                continue
-            hp = before_hp[task.name]
-            problems.append((records[task.name], hp))
-            problems.append(
-                (
-                    records[task.name],
-                    [
-                        stretched if r[_R_NAME] == interferer.name else r
-                        for r in hp
-                    ],
-                )
-            )
-            info.append((task, f"{interferer.name} period x{stretch:g}"))
-    return problems, info
+) -> None:
+    """Each family checks its factor, then (once) every set's priorities."""
+    checked = False
+    for kind in kinds:
+        if kind == "wcet_decrease" and not (0 < shrink < 1):
+            raise ModelError(f"shrink factor must be in (0,1), got {shrink}")
+        if kind == "period_increase" and stretch <= 1:
+            raise ModelError(f"stretch factor must exceed 1, got {stretch}")
+        if not checked:
+            for taskset in tasksets:
+                taskset.check_distinct_priorities()
+            checked = True
 
 
-def _assemble_events(
-    kind: str,
-    info: Sequence[_PairInfo],
-    entries: Sequence[Tuple[float, float, float]],
-) -> List[AnomalyEvent]:
-    """Anomaly events from the evaluated before/after pair entries.
+def _family_pairs(
+    population: PopulationArrays, kind: str, stretch: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(observed, changed)`` of every move of one family, set by set.
 
-    The slack is mapped to the verdict convention (``None`` without a
-    bound, the signed bound margin -- ``-inf`` on a deadline miss --
-    otherwise), bit-identical to per-pair :func:`_interface_and_slack`
-    calls through the analysis façade.
+    ``observed`` indexes the population's tasks, ``changed`` is the
+    column (task-set slot) of the task the move changes.  A priority
+    raise observes each task but the top one, in ascending priority
+    order, and changes the task one level above it.  An interferer
+    move pairs every interferer ``j`` with every lower-priority task
+    ``i``, ``j`` then ``i`` in task-set order; a period increase skips
+    interferers with ``wcet > period * stretch``.
     """
-    events: List[AnomalyEvent] = []
-    for index, (task, change) in enumerate(info):
-        best_b, worst_b, slack_b = entries[2 * index]
-        best_a, worst_a, slack_a = entries[2 * index + 1]
-        # Inline :func:`_is_worse` on the raw floats (same expressions,
-        # same tolerance): anomalies are rare, so the interface objects
-        # are only materialised for actual events.
-        if task.stability is None:
-            slack_before = slack_after = None
-            worse = (worst_a - best_a) > (worst_b - best_b) + 1e-12
+    rank = population.rank
+    if kind == "priority_raise":
+        # ``by_rank[s, r]``: the column of set ``s``'s task of rank ``r``.
+        by_rank = np.full(rank.shape, -1, dtype=np.intp)
+        task_set, slot = population.task_set, population.task_slot
+        by_rank[task_set, rank[task_set, slot]] = slot
+        sets, level = np.nonzero(by_rank[:, 1:] >= 0)
+        observed = population.offset[sets] + by_rank[sets, level]
+        return observed, by_rank[sets, level + 1]
+    moves = (rank[:, :, None] > rank[:, None, :]) & (rank[:, None, :] >= 0)
+    if kind == "period_increase":
+        moves &= ~(population.wcet > population.period * stretch)[:, :, None]
+    sets, changed, slot = np.nonzero(moves)
+    return population.offset[sets] + slot, changed
+
+
+def _detect(
+    tasksets: Sequence[TaskSet],
+    kinds: Sequence[str],
+    shrink: float = 0.9,
+    stretch: float = 1.1,
+) -> List[List[AnomalyEvent]]:
+    """The anomaly events of ``kinds`` in every set, one stacked pass.
+
+    Row ``t < n`` of the stack is population task ``t`` against its own
+    hp mask (the :func:`~repro.rta.popbatch.analyze_population` row);
+    each move adds one perturbed row of its observed task after them:
+
+    * priority raise -- the column of the task one level above is
+      cleared (no priority lies between the two, so that is the raised
+      task's hp set after the swap, in task-set order);
+    * WCET decrease -- the interferer's column holds ``wcet * shrink``
+      and ``bcet * shrink``;
+    * period increase -- the interferer's column holds ``period *
+      stretch``.
+
+    A rescaled column's ``bcet / period`` is recomputed as
+    :func:`~repro.memo.kernels.make_record` does it, so every row is
+    the problem the v5.0.0 list-built detectors posed.  Slacks compare
+    in the scalar expression order (``b - best - a * (worst - best)``,
+    ``-inf`` on a deadline miss; jitter for tasks without a bound), and
+    an :class:`AnomalyEvent` is built only for a move that got worse.
+    Per set, events come family by family in move order; record-kernel
+    rows run in the serial detectors' order (set by set, each move's
+    before row then its after row), so a
+    :class:`~repro.errors.ScheduleError` raises on the same problem.
+    """
+    _check(tasksets, kinds, shrink, stretch)
+    events: List[List[AnomalyEvent]] = [[] for _ in tasksets]
+    if not tasksets:
+        return events
+    population = PopulationArrays(tasksets)
+    tasks = population.tasks
+    n = len(tasks)
+    pairs = [_family_pairs(population, kind, stretch) for kind in kinds]
+    observed = np.concatenate([moved for moved, _ in pairs])
+    changed = np.concatenate([column for _, column in pairs])
+    family = np.repeat(np.arange(len(kinds)), [len(moved) for moved, _ in pairs])
+    rows = np.concatenate([np.arange(n), observed])
+    after = np.arange(n, len(rows))
+    sets = population.task_set[rows]
+
+    hp = population.hp_mask(rows)
+    period, wcet, bcet, quot = cells = population.cells(rows)
+    for k, kind in enumerate(kinds):
+        at = (after[family == k], changed[family == k])
+        owner = (sets[at[0]], at[1])
+        if kind == "priority_raise":
+            hp[at] = False
+        elif kind == "wcet_decrease":
+            wcet[at] = population.wcet[owner] * shrink
+            bcet[at] = population.bcet[owner] * shrink
+            quot[at] = bcet[at] / population.period[owner]
         else:
-            slack_before = float(slack_b)
-            slack_after = float(slack_a)
-            worse = slack_after < slack_before - 1e-12
-        if worse:
-            events.append(
-                AnomalyEvent(
-                    kind=kind,
-                    task_name=task.name,
-                    change=change,
-                    before=ResponseTimes(best=best_b, worst=worst_b),
-                    after=ResponseTimes(best=best_a, worst=worst_a),
-                    slack_before=slack_before,
-                    slack_after=slack_after,
-                )
+            period[at] = population.period[owner] * stretch
+            quot[at] = population.bcet[owner] / period[at]
+    serial = np.argsort(sets[n:], kind="stable")
+    order = np.column_stack((observed[serial], after[serial])).ravel().tolist()
+    best, worst = population.solve(rows, hp, cells, order)
+
+    bounds = [task.stability for task in tasks]
+    bounded = np.array([bound is not None for bound in bounds], dtype=bool)
+    bound_a = np.array([np.nan if bound is None else bound.a for bound in bounds])
+    bound_b = np.array([np.nan if bound is None else bound.b for bound in bounds])
+    with np.errstate(invalid="ignore"):
+        jitter = worst - best
+        slack = np.where(
+            worst == _INF, -_INF, bound_b[rows] - best - bound_a[rows] * jitter
+        )
+        worse = np.where(
+            bounded[observed],
+            slack[after] < slack[observed] - 1e-12,
+            jitter[after] > jitter[observed] + 1e-12,
+        )
+    for move in np.flatnonzero(worse).tolist():
+        t, r = int(observed[move]), n + move
+        kind = kinds[family[move]]
+        other = population.task_lists[sets[r]][changed[move]].name
+        if kind == "priority_raise":
+            change = f"swap above {other}"
+        elif kind == "wcet_decrease":
+            change = f"{other} executed {shrink:g}x faster"
+        else:
+            change = f"{other} period x{stretch:g}"
+        events[sets[r]].append(
+            AnomalyEvent(
+                kind=kind,
+                task_name=tasks[t].name,
+                change=change,
+                before=ResponseTimes(best=float(best[t]), worst=float(worst[t])),
+                after=ResponseTimes(best=float(best[r]), worst=float(worst[r])),
+                slack_before=float(slack[t]) if bounded[t] else None,
+                slack_after=float(slack[r]) if bounded[t] else None,
             )
+        )
     return events
 
 
@@ -309,10 +254,8 @@ def priority_raise_anomalies(taskset: TaskSet) -> List[AnomalyEvent]:
     bound, the jitter increases) even though the raise removes an
     interferer -- the headline anomaly of the paper.
     """
-    problems, info = _priority_raise_pairs(taskset)
-    return _assemble_events(
-        "priority_raise", info, evaluate_problems(problems)
-    )
+    (events,) = _detect([taskset], ("priority_raise",))
+    return events
 
 
 def wcet_decrease_anomalies(
@@ -328,10 +271,8 @@ def wcet_decrease_anomalies(
     higher-priority code should never destabilise anyone -- when it does,
     that is the anomaly (cf. Racu & Ernst, the paper's reference [18]).
     """
-    problems, info = _wcet_decrease_pairs(taskset, shrink)
-    return _assemble_events(
-        "wcet_decrease", info, evaluate_problems(problems)
-    )
+    (events,) = _detect([taskset], ("wcet_decrease",), shrink=shrink)
+    return events
 
 
 def period_increase_anomalies(
@@ -345,10 +286,8 @@ def period_increase_anomalies(
     unchanged, so its utilisation *drops*) and re-evaluates every
     lower-priority task -- the second anomaly [20] demonstrates.
     """
-    problems, info = _period_increase_pairs(taskset, stretch)
-    return _assemble_events(
-        "period_increase", info, evaluate_problems(problems)
-    )
+    (events,) = _detect([taskset], ("period_increase",), stretch=stretch)
+    return events
 
 
 def all_anomalies(
@@ -357,42 +296,30 @@ def all_anomalies(
     shrink: float = 0.9,
     stretch: float = 1.1,
 ) -> List[AnomalyEvent]:
-    """All three anomaly families in one population-kernel pass.
+    """All three anomaly families in one stacked pass.
 
     Returns exactly ``priority_raise_anomalies(ts) +
     wcet_decrease_anomalies(ts, shrink=shrink) +
-    period_increase_anomalies(ts, stretch=stretch)``: the families'
-    problem lists are concatenated in that order, evaluated in a single
-    :func:`~repro.rta.popbatch.evaluate_problems` call (one stacked
-    fixed-point solve instead of three, which also lifts small task sets
-    over the population-kernel crossover), and the events reassembled
-    per family.  A :class:`~repro.errors.ScheduleError` therefore raises
-    on the same problem as the serial three-call form.
+    period_increase_anomalies(ts, stretch=stretch)``: the one-set case
+    of :func:`population_anomalies`.
     """
-    # One shared record pool and one shared before-hp list per task: the
-    # families' unperturbed "before" problems then share object
-    # identities, so the population kernel's id-keyed dedup collapses
-    # them *across* families too.
-    tasks = list(taskset)
-    records = {t.name: _record(t) for t in tasks}
-    before_hp = _before_hp_map(tasks, records)
-    raise_p, raise_i = _priority_raise_pairs(taskset, records, before_hp)
-    wcet_p, wcet_i = _wcet_decrease_pairs(
-        taskset, shrink, records, before_hp
-    )
-    period_p, period_i = _period_increase_pairs(
-        taskset, stretch, records, before_hp
-    )
-    entries = evaluate_problems(raise_p + wcet_p + period_p)
-    split_wcet = len(raise_p)
-    split_period = split_wcet + len(wcet_p)
-    return (
-        _assemble_events("priority_raise", raise_i, entries[:split_wcet])
-        + _assemble_events(
-            "wcet_decrease", wcet_i, entries[split_wcet:split_period]
-        )
-        + _assemble_events("period_increase", period_i, entries[split_period:])
-    )
+    (events,) = _detect([taskset], _KINDS, shrink, stretch)
+    return events
+
+
+def population_anomalies(
+    tasksets: Sequence[TaskSet],
+    *,
+    shrink: float = 0.9,
+    stretch: float = 1.1,
+) -> List[List[AnomalyEvent]]:
+    """:func:`all_anomalies` of every set, evaluated as one stack.
+
+    Equal to ``[all_anomalies(ts, shrink=shrink, stretch=stretch) for
+    ts in tasksets]``; the census poses one sweep chunk's feasible sets
+    per call.
+    """
+    return _detect(tasksets, _KINDS, shrink, stretch)
 
 
 # ----------------------------------------------------------------------
@@ -418,21 +345,3 @@ def _swap_priorities(taskset: TaskSet, name_a: str, name_b: str) -> TaskSet:
         for t in taskset
     }
     return taskset.with_priorities(priorities)
-
-
-def _is_worse(
-    before: ResponseTimes,
-    after: ResponseTimes,
-    slack_before: Optional[float],
-    slack_after: Optional[float],
-) -> bool:
-    """Did the 'improvement' actually degrade the task?
-
-    With a stability bound: slack strictly decreased.  Without: jitter
-    strictly increased.  Strictness uses a small tolerance so that exact
-    float ties are not reported.
-    """
-    tol = 1e-12
-    if slack_before is not None and slack_after is not None:
-        return slack_after < slack_before - tol
-    return after.jitter > before.jitter + tol

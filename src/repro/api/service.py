@@ -44,7 +44,7 @@ from repro.errors import ModelError
 from repro.exec.workerenv import worker_memo
 from repro.memo import AnalysisMemo
 from repro.rta.interface import ResponseTimes, latency_jitter
-from repro.rta.popbatch import analyze_population, analyze_taskset
+from repro.rta.popbatch import _analyze_population
 from repro.rta.taskset import Task, TaskSet
 from repro.search.engine import run_strategy
 from repro.search.result import AssignmentResult
@@ -110,9 +110,10 @@ def analyze(
 
     Accepts a :class:`ControlTaskSystem` (bounds derived from plant
     bindings, priority policy applied, result memoised on the instance)
-    or a bare prioritised :class:`TaskSet`.  Every task runs the record
-    kernel against its hp records (:func:`repro.rta.popbatch
-    .analyze_taskset`).
+    or a bare prioritised :class:`TaskSet`.  Every task is one row of
+    the set's population stack against its hp mask (the unchecked core
+    of :func:`repro.rta.popbatch.analyze_population`: ``resolved_taskset``
+    has checked the priorities).
 
     Passing a shared :class:`~repro.memo.AnalysisMemo` via ``memo=``
     makes repeated analysis of *near*-identical systems incremental:
@@ -129,7 +130,7 @@ def analyze(
     if memo is not None:
         (analysis,) = memo._population_analysis([taskset])
     else:
-        analysis = analyze_taskset(taskset)
+        (analysis,) = _analyze_population([taskset])
     return _finish_report(system, taskset, analysis)
 
 
@@ -502,10 +503,9 @@ def _analyze_inline_population(
     """The serial ``analyze_batch`` hot path, through the population tier.
 
     Bit-identical to ``[analyze(system) for system in systems]``: the
-    per-system report cache behaves the same, and
-    :func:`repro.rta.popbatch.analyze_population` (whose one-set case is
-    ``analyze_taskset``) poses every task of every system to one
-    :func:`~repro.rta.popbatch.evaluate_problems` call.  This is what
+    per-system report cache behaves the same, and the population core
+    of :func:`repro.rta.popbatch.analyze_population` poses every task of
+    every system as one row of a single stack.  This is what
     makes a whole sweep chunk, a census, or a :mod:`repro.serve`
     micro-batch pay one stacked RTA pass instead of one pass per system.
 
@@ -529,7 +529,7 @@ def _analyze_inline_population(
         if memo is not None:
             analyses = memo._population_analysis(tasksets)
         else:
-            analyses = analyze_population(tasksets)
+            analyses = _analyze_population(tasksets)
         for k, taskset, analysis in zip(pending, tasksets, analyses):
             reports[k] = _finish_report(systems[k], taskset, analysis)
     return reports  # type: ignore[return-value]

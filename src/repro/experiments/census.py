@@ -8,18 +8,24 @@ fraction actually destabilise one.  This is the sharpest quantitative
 form of the paper's thesis sentence: "we demonstrate that these anomalies
 are, in fact, very improbable."
 
-The heavy lifting -- one generated benchmark, one backtracking assignment,
-three detector passes per item -- runs on the :mod:`repro.sweep` engine,
-so ``python -m repro sweep census --jobs N`` distributes it over worker
+The heavy lifting -- one generated benchmark and one backtracking
+assignment per item, then the three detector families for a whole chunk
+in one stacked pass -- runs on the :mod:`repro.sweep` engine, so
+``python -m repro sweep census --jobs N`` distributes it over worker
 processes while producing counts identical to the serial run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
-from repro.anomalies.census import AnomalyCensus, census_benchmark
+from repro.anomalies.census import (
+    AnomalyCensus,
+    BenchmarkCensus,
+    census_benchmark,
+    census_benchmarks,
+)
 from repro.benchgen.taskgen import BenchmarkConfig, suite_bound_keys
 from repro.experiments.report import format_table
 from repro.sweep import SweepResult, SweepSpec, run_sweep
@@ -66,13 +72,9 @@ class CensusResult:
         )
 
 
-def _census_worker(
-    item: Dict[str, int], params: Dict[str, Any], seed: int
+def _census_record(
+    item: Dict[str, int], single: BenchmarkCensus
 ) -> Dict[str, Any]:
-    """Census counts of one benchmark instance (sweep worker)."""
-    single = census_benchmark(
-        item["n"], item["index"], seed=seed, config=params.get("config")
-    )
     record: Dict[str, Any] = {
         "n": item["n"],
         "index": item["index"],
@@ -83,6 +85,39 @@ def _census_worker(
         record[f"{kind}_anomalous"] = single.count(kind)
         record[f"{kind}_destabilising"] = single.destabilising_count(kind)
     return record
+
+
+def _census_worker(
+    item: Dict[str, int], params: Dict[str, Any], seed: int
+) -> Dict[str, Any]:
+    """Census counts of one benchmark instance (sweep worker)."""
+    single = census_benchmark(
+        item["n"], item["index"], seed=seed, config=params.get("config")
+    )
+    return _census_record(item, single)
+
+
+def _census_chunk_worker(
+    items: List[Dict[str, int]], params: Dict[str, Any], seed: int
+) -> List[Dict[str, Any]]:
+    """Census counts of one sweep chunk, its detectors run as one stack.
+
+    Record-identical to :func:`_census_worker` per item.  On any
+    exception the chunk replays item by item, so the sweep reports the
+    error the per-item path raises.
+    """
+    try:
+        singles = census_benchmarks(
+            [(item["n"], item["index"]) for item in items],
+            seed=seed,
+            config=params.get("config"),
+        )
+    except Exception:
+        # The pooled pass fails as a whole; the per-item path raises the
+        # first failing item's own error (or, failing nothing, returns
+        # the same records).
+        return [_census_worker(item, params, seed) for item in items]
+    return [_census_record(item, single) for item, single in zip(items, singles)]
 
 
 def sweep_spec(
@@ -108,6 +143,7 @@ def sweep_spec(
         params=params,
         seed=seed,
         chunk_size=chunk_size,
+        chunk_worker=_census_chunk_worker,
         bound_keys=suite_bound_keys,
     )
 

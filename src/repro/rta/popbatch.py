@@ -9,9 +9,11 @@ Two shapes of one contract -- the screened record kernel of
   every float equals the reference :func:`repro.rta.interface
   .latency_jitter` and the shared memo;
 * the stacked kernels (:func:`_stacked_wcrt` / :func:`_stacked_bcrt`)
-  -- ragged subproblem lists padded into ``(n_problems, n_hp)``
-  ndarrays whose best/worst-case response times iterate
-  **simultaneously**, with per-problem convergence masking.  See the
+  -- subproblems padded into ``(n_problems, n_hp)`` ndarrays whose
+  best/worst-case response times iterate **simultaneously**, with
+  per-problem convergence masking.  Two builders feed them: ragged
+  problem lists (:func:`_stack_problems`) and task-set populations
+  built from per-set arrays (:class:`PopulationArrays`).  See the
   "Kernel tiers" section of the README.
 
 Bit-identity contract
@@ -25,11 +27,12 @@ The stacked iterations reproduce the record kernel *bit for bit*:
   saturated hp under a finite period) decide on the same sums in the
   same order;
 * interference accumulates **sequentially over hp columns in task-set
-  order** -- the padded (non-hp) columns hold ``(period, wcet, bcet,
-  quotient) = (1, 0, 0, 0)`` so they contribute an exact ``+0.0``, which
-  is a bitwise no-op on a non-negative IEEE-754 accumulator.  The true
-  hp entries therefore accumulate with exactly the scalar operand order
-  and associativity;
+  order** -- the non-hp cells hold ``(period, wcet, bcet, quotient) =
+  (1, 0, 0, 0)`` so they contribute an exact ``+0.0`` wherever they
+  sit, a bitwise no-op on a non-negative IEEE-754 accumulator.  The
+  true hp entries therefore accumulate with exactly the scalar operand
+  order and associativity, whether the pads trail (list-built rows) or
+  sit between them (array-built rows, masked in place);
 * divergence / error / convergence tests run in the scalar order with
   the scalar tolerances, and each problem's result is frozen on the
   iterate where the scalar loop would have returned it.
@@ -45,19 +48,21 @@ Entry points:
 
 * :func:`evaluate_problems` -- many ``(candidate, hp-set)`` subproblems
   at once, bit-identical to ``[evaluate_candidate(r, hp) ...]`` (what
-  the memo, the detectors and the search strategies consume).  It gates
-  on input size: lists too small to pay for the ndarray set-up run the
-  record kernel directly.
+  the memo and the search strategies consume).
 * :func:`analyze_population` -- many task sets at once: every task of
-  every set posed as one subproblem of a single
-  :func:`evaluate_problems` call (the memo's population routine without
-  the memo); :func:`analyze_taskset` is its one-set case.
+  every set is one row of a :class:`PopulationArrays` stack (the memo's
+  population routine without the memo); :func:`analyze_taskset` is its
+  one-set case.  :mod:`repro.anomalies.detectors` adds its perturbed
+  rows to the same stack shape.
+
+Both gate on size: stacks of fewer than :data:`MIN_PROBLEM_POPULATION`
+rows run the record kernel directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -72,17 +77,11 @@ from repro.rta.taskset import Task, TaskSet
 from repro.rta.wcrt import _CEIL_RTOL
 from repro.tiers import observe_tier as _observe_tier
 
-#: Candidate-problem populations with fewer *distinct* problems than
-#: this run the record kernel: below ~32 problems the ndarray setup
-#: costs more than the stack saves (measured crossover against the
-#: unrolled scalar kernels, which moved it up from 16).
+#: Stacks of fewer rows than this run the record kernel instead: below
+#: it the ndarray setup costs more than the stack saves.  Measured
+#: against the unrolled scalar kernels, both stack builders cross over
+#: between ~24 rows (12-task sets) and ~64 rows (4-task sets).
 MIN_PROBLEM_POPULATION = 32
-
-#: Problem lists shorter than this skip the dedup pre-pass entirely:
-#: repeats only appear in the detector-sized lists (dozens of problems),
-#: and the id-tuple keys are pure overhead for the memo's small
-#: per-level batches.
-_DEDUP_MIN_PROBLEMS = 12
 
 #: Stacked rounds before remaining active problems fall back to the
 #: record kernel.  Well-conditioned RTA fixed points settle in a few
@@ -299,117 +298,221 @@ def evaluate_problems(
     """Evaluate many ``(candidate, hp-set)`` subproblems at once.
 
     Bit-identical to ``[evaluate_candidate(r, hp) for r, hp in
-    problems]`` -- the record-kernel contract the anomaly detectors'
-    and search strategies' pinned goldens rely on.  Problems of
-    different hp sizes share one stack: the pad columns contribute
-    exact ``+0.0``.
+    problems]`` -- the record-kernel contract the search strategies'
+    pinned goldens rely on.  Problems of different hp sizes share one
+    stack: the pad columns contribute exact ``+0.0``.  The stack's
+    stragglers and error rows run the record kernel in input order, so
+    the first :class:`~repro.errors.ScheduleError` raises on the same
+    problem as the serial loop.
     """
     problems = list(problems)
-    if not problems:
-        return []
-    if len(problems) < _DEDUP_MIN_PROBLEMS:
-        # Small batches (the memo's per-level candidate lists) almost
-        # never repeat a subproblem, so the dedup bookkeeping below
-        # would cost more than it saves.
-        _observe_tier("scalar", len(problems), len(problems))
+    if len(problems) < MIN_PROBLEM_POPULATION:
+        if problems:
+            _observe_tier("scalar", len(problems), len(problems))
         return [evaluate_candidate(record, hp) for record, hp in problems]
 
-    # Dedupe repeated subproblems first: the anomaly detectors re-pose
-    # each task's unchanged "before" problem once per interferer and
-    # once per family, so the unique set is often 2-3x smaller.  Keys
-    # are object identities of the (record, hp-container) pair --
-    # records and the repeated hp lists are interned per caller
-    # (:func:`repro.anomalies.detectors._before_hp_map`), so repeats
-    # share the exact objects, and distinct-content problems can never
-    # collide; content-equal problems in distinct containers merely
-    # evaluate twice, which is correct either way.  Equal problems have
-    # equal entries, and both tiers below walk the *input* order while
-    # evaluating each unique problem once, so the first
-    # :class:`~repro.errors.ScheduleError` raises on the same problem as
-    # the strictly serial loop (a failing problem always fails at its
-    # first occurrence, and everything before it succeeded).
-    unique_of: dict = {}
-    uniques: List[Problem] = []
-    positions = []
-    for problem in problems:
-        key = (id(problem[0]), id(problem[1]))
-        u = unique_of.get(key)
-        if u is None:
-            u = len(uniques)
-            unique_of[key] = u
-            uniques.append(problem)
-        positions.append(u)
-
-    entries: List[Optional[Tuple[float, float, float]]] = [None] * len(problems)
-    unique_entries: List[Optional[Tuple[float, float, float]]] = [
-        None
-    ] * len(uniques)
-    if len(uniques) < MIN_PROBLEM_POPULATION:
-        _observe_tier("scalar", len(problems), len(problems))
-        for p, u in enumerate(positions):
-            entry = unique_entries[u]
-            if entry is None:
-                record, hp = uniques[u]
-                entry = unique_entries[u] = evaluate_candidate(record, hp)
-            entries[p] = entry
-        return entries  # type: ignore[return-value]
-
-    stack = _stack_problems(uniques)
+    stack = _stack_problems(problems)
     worst, fb_w = _stacked_wcrt(stack)
     best, fb_b = _stacked_bcrt(stack)
-    needs_scalar = fb_w | fb_b
+    needs_scalar = (fb_w | fb_b).tolist()
     _observe_tier("popbatch", len(problems), len(problems))
-    for p, u in enumerate(positions):
-        entry = unique_entries[u]
-        if entry is None:
-            record, hp = uniques[u]
-            if needs_scalar[u]:
-                entry = evaluate_candidate(record, hp)
-            else:
-                entry = candidate_entry(record, float(best[u]), float(worst[u]))
-            unique_entries[u] = entry
-        entries[p] = entry
-    return entries  # type: ignore[return-value]
+    return [
+        evaluate_candidate(record, hp)
+        if scalar
+        else candidate_entry(record, b, w)
+        for (record, hp), scalar, b, w in zip(
+            problems, needs_scalar, best.tolist(), worst.tolist()
+        )
+    ]
 
 
 # ----------------------------------------------------------------------
 # Task-set populations
 # ----------------------------------------------------------------------
 
+class PopulationArrays:
+    """A population of task sets as per-set arrays: the array-built stack.
+
+    Set ``s`` occupies row ``s`` of the ``(S, H)`` field arrays, its tasks
+    in task-set order from column 0 (``H`` is the largest set); the slots
+    past a set's last task hold the pad ``(period, wcet, bcet, quot) =
+    (1, 0, 0, 0)`` and rank ``-1``.  ``quot`` is ``bcet / period`` as
+    :func:`~repro.memo.kernels.make_record` computes it, and ``rank``
+    each task's priority rank within its set (0 = lowest), so ``rank[s,
+    j] > rank[s, i]`` exactly when task ``j`` is in ``hp(i)`` -- the
+    :meth:`~repro.rta.taskset.TaskSet.higher_priority` test, for sets
+    with distinct priorities.
+
+    A population *row* poses one task (an index into :attr:`tasks`, the
+    flat population order) against an hp mask over its own set's
+    columns (:meth:`hp_mask`) and hp cells (:meth:`cells`, which a
+    caller may perturb).  :meth:`solve` pads every non-hp cell in place:
+    a pad adds an exact ``+0.0`` wherever it sits in the sequential
+    column sums, so the hp cells accumulate in task-set order exactly as
+    the record kernel sums its hp list.  :func:`analyze_population`
+    poses each task once; the anomaly detectors add perturbed rows.
+    """
+
+    def __init__(self, tasksets: Sequence[TaskSet]):
+        self.task_lists = [list(taskset) for taskset in tasksets]
+        self.tasks: List[Task] = [
+            task for tasks in self.task_lists for task in tasks
+        ]
+        n_sets = len(self.task_lists)
+        width = max(map(len, self.task_lists), default=0)
+        # ``(set, slot, rank)`` of every task, in population order.
+        index: List[Tuple[int, int, int]] = []
+        for s, tasks in enumerate(self.task_lists):
+            priorities = [task.priority for task in tasks]
+            rank = [0] * len(tasks)
+            for position, slot in enumerate(
+                sorted(range(len(tasks)), key=priorities.__getitem__)
+            ):
+                rank[slot] = position
+            index += zip([s] * len(tasks), range(len(tasks)), rank)
+        self.task_set, self.task_slot, ranks = (
+            np.array(index, dtype=np.intp).reshape(-1, 3).T
+        )
+        #: Population index of each set's first task.
+        self.offset = np.searchsorted(self.task_set, np.arange(n_sets))
+        flat = self.task_set * width + self.task_slot
+        values = np.array(
+            [(t.period, t.wcet, t.bcet) for t in self.tasks], dtype=float
+        ).reshape(-1, 3).T
+        fields = np.zeros((4, n_sets * width))
+        fields[0] = 1.0
+        fields[:3, flat] = values
+        fields[3, flat] = values[2] / values[0]
+        self.period, self.wcet, self.bcet, self.quot = fields.reshape(
+            4, n_sets, width
+        )
+        self.rank = np.full(n_sets * width, -1, dtype=np.intp)
+        self.rank[flat] = ranks
+        self.rank = self.rank.reshape(n_sets, width)
+
+    def hp_mask(self, rows: np.ndarray) -> np.ndarray:
+        """``(R, H)`` hp masks of tasks ``rows`` over their own sets."""
+        sets = self.task_set[rows]
+        own = self.rank[sets, self.task_slot[rows]]
+        return self.rank[sets] > own[:, None]
+
+    def cells(self, rows: np.ndarray) -> List[np.ndarray]:
+        """``[period, wcet, bcet, quot]`` cells of tasks ``rows``' sets,
+        one fresh ``(R, H)`` array each."""
+        sets = self.task_set[rows]
+        return [self.period[sets], self.wcet[sets], self.bcet[sets], self.quot[sets]]
+
+    def solve(
+        self,
+        rows: np.ndarray,
+        hp: np.ndarray,
+        cells: Sequence[np.ndarray],
+        order: Sequence[int],
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(best, worst)`` of every row that ``order`` names.
+
+        Row ``r`` is task ``rows[r]`` against the cells where ``hp[r]``
+        holds; the other cells are overwritten with the pad.  ``order``
+        lists the rows the caller reads, in the order a serial loop
+        would evaluate them (repeats allowed).  Fewer than
+        :data:`MIN_PROBLEM_POPULATION` rows run the record kernel on each
+        listed row; more run the stacked fixed points, and their
+        stragglers and error rows run the record kernel, walked in
+        ``order`` -- so a :class:`~repro.errors.ScheduleError` carries
+        the message of the serial loop's first failing problem.  Rows
+        ``order`` does not name never run the record kernel.
+        """
+        n = len(rows)
+        if n < MIN_PROBLEM_POPULATION:
+            if n:
+                _observe_tier("scalar", n, n)
+            best = np.full(n, np.nan)
+            worst = np.full(n, np.nan)
+            picks = range(n)
+        else:
+            sets, slots = self.task_set[rows], self.task_slot[rows]
+            outside = ~hp
+            for cell, pad in zip(cells, (1.0, 0.0, 0.0, 0.0)):
+                np.copyto(cell, pad, where=outside)
+            stack = _ProblemStack(
+                self.period[sets, slots],
+                self.wcet[sets, slots],
+                self.bcet[sets, slots],
+                *cells,
+                hp_count=np.count_nonzero(hp, axis=1),
+            )
+            worst, fb_w = _stacked_wcrt(stack)
+            best, fb_b = _stacked_bcrt(stack)
+            _observe_tier("popbatch", n, n)
+            picks = np.flatnonzero(fb_w | fb_b).tolist()
+            if not picks:
+                return best, worst
+            rows, hp = rows[picks], hp[picks]
+            cells = [cell[picks] for cell in cells]
+        problems = dict(zip(picks, self._row_problems(rows, hp, cells)))
+        for row in order:
+            problem = problems.pop(row, None)
+            if problem is not None:
+                best[row], worst[row], _ = evaluate_candidate(*problem)
+        return best, worst
+
+    def _row_problems(
+        self, rows: np.ndarray, hp: np.ndarray, cells: Sequence[np.ndarray]
+    ) -> List[Problem]:
+        """The record-kernel problem of each row: its candidate record
+        and its hp cells in column order."""
+        at, cols = np.nonzero(hp)
+        hp_cells = list(zip(*(cell[at, cols].tolist() for cell in cells)))
+        ends = np.cumsum(np.count_nonzero(hp, axis=1)).tolist()
+        problems = []
+        start = 0
+        for task, end in zip(rows.tolist(), ends):
+            t = self.tasks[task]
+            record = make_record(
+                float(t.period), float(t.wcet), float(t.bcet), None, t.name
+            )
+            problems.append((record, hp_cells[start:end]))
+            start = end
+        return problems
+
+
 def analyze_population(tasksets: Sequence[TaskSet]) -> List[TasksetAnalysis]:
     """Exact latency/jitter interfaces and verdicts of many task sets.
 
     Requires distinct priorities within each set.  Every task of every
-    set becomes one record-kernel subproblem against its hp records in
-    task-set order, and the whole population is evaluated by one
-    :func:`evaluate_problems` call, so the floats are those of the memo
-    and of the reference per-task analyses (the equivalence suites in
+    set becomes one row of a :class:`PopulationArrays` stack against
+    its hp mask, so the floats are those of the memo and of the
+    reference per-task analyses (the equivalence suites in
     ``tests/rta/test_popbatch.py`` and ``tests/rta/test_batch.py`` pin
     this); verdicts match :func:`repro.api.analyze`.
     """
-    task_lists: List[List[Task]] = []
-    problems: List[Problem] = []
     for taskset in tasksets:
         taskset.check_distinct_priorities()
-        tasks = list(taskset)
-        records = [
-            make_record(t.period, t.wcet, t.bcet, t.stability, t.name)
-            for t in tasks
-        ]
-        priorities = [t.priority for t in tasks]
-        problems.extend(
-            (record, [records[j] for j, other in enumerate(priorities) if other > mine])
-            for record, mine in zip(records, priorities)
-        )
-        task_lists.append(tasks)
-    entries = evaluate_problems(problems)
+    return _analyze_population(tasksets)
+
+
+def _analyze_population(tasksets: Sequence[TaskSet]) -> List[TasksetAnalysis]:
+    """:func:`analyze_population` of sets whose priorities are already
+    checked (:meth:`repro.api.ControlTaskSystem.resolved_taskset` checks
+    every set it resolves)."""
+    if not tasksets:
+        return []
+    population = PopulationArrays(tasksets)
+    rows = np.arange(len(population.tasks))
+    best, worst = population.solve(
+        rows, population.hp_mask(rows), population.cells(rows), range(len(rows))
+    )
+    best_values, worst_values = best.tolist(), worst.tolist()
     results: List[TasksetAnalysis] = []
     offset = 0
-    for tasks in task_lists:
+    for tasks in population.task_lists:
+        end = offset + len(tasks)
         results.append(
-            TasksetAnalysis.build(tasks, entries[offset : offset + len(tasks)])
+            TasksetAnalysis.build(
+                tasks, zip(best_values[offset:end], worst_values[offset:end])
+            )
         )
-        offset += len(tasks)
+        offset = end
     return results
 
 

@@ -136,6 +136,33 @@ class TestControlTaskSystem:
 
         assert set(PRIORITY_POLICIES) == {"as_given", *strategy_names()}
 
+    @pytest.mark.parametrize("policy", ["as_given", "rate_monotonic"])
+    def test_memo_free_analyses_check_priorities_once(
+        self, policy, monkeypatch
+    ):
+        # ``resolved_taskset`` checks each model it resolves; the
+        # population core behind a memo-free ``analyze`` and the serial
+        # ``analyze_batch`` path must not check it again.
+        from repro.api.service import _analyze_inline_population
+
+        check = TaskSet.check_distinct_priorities
+        calls = []
+
+        def counted(self):
+            calls.append(self)
+            return check(self)
+
+        monkeypatch.setattr(TaskSet, "check_distinct_priorities", counted)
+
+        def system():
+            return ControlTaskSystem(taskset=_taskset(), priority_policy=policy)
+
+        analyze(system())
+        assert len(calls) == 1
+        calls.clear()
+        _analyze_inline_population([system(), system(), system()])
+        assert len(calls) == 3
+
 
 class TestVerdicts:
     def test_verdict_without_bound_has_no_slack(self):

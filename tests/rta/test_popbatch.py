@@ -146,8 +146,8 @@ class TestAnalyzePopulationEquivalence:
         counts=st.lists(st.integers(1, 16), min_size=1, max_size=24),
     )
     def test_mixed_population_matches_scalar_loop(self, seed, counts):
-        # Mixed task counts 1-16: populations below, inside and above
-        # the dedup and stacking gates of evaluate_problems, and single
+        # Mixed task counts 1-16: populations below and above the
+        # stacking gate, and single
         # sets of up to 16 tasks through analyze_taskset.
         rng = np.random.default_rng(seed)
         tasksets = [_random_taskset(rng, n) for n in counts]
@@ -217,7 +217,7 @@ class TestAnalyzePopulationEquivalence:
         _assert_identical(analyze_population(tasksets), want)
 
     def test_small_population_runs_batch_tier(self, rng):
-        # Fewer subproblems than the dedup gate: the plain record loop.
+        # Fewer rows than the stacking gate: the plain record loop.
         tasksets = [_random_taskset(rng, 4) for _ in range(2)]
         _assert_identical(
             analyze_population(tasksets),
@@ -265,8 +265,8 @@ class TestEvaluateProblemsEquivalence:
         count=st.integers(0, 3 * MIN_PROBLEM_POPULATION),
     )
     def test_matches_scalar_kernels(self, seed, count):
-        # Counts straddle every tier gate: empty, the no-dedup fast
-        # path, the deduped scalar tier, and the stacked tier.
+        # Counts straddle the tier gate: empty, the record-kernel
+        # loop, and the stacked tier.
         rng = np.random.default_rng(seed)
         problems = _record_problems(rng, count)
         scalar = [evaluate_candidate(r, hp) for r, hp in problems]
@@ -287,14 +287,14 @@ class TestEvaluateProblemsEquivalence:
         assert _outcome(lambda: evaluate_problems(problems)) == scalar
 
     def test_duplicate_problems_share_entries(self, rng):
-        # The detector pattern: the same (record, hp) posed many times.
+        # The same (record, hp) posed many times.
         base = _record_problems(rng, MIN_PROBLEM_POPULATION)
         problems = base + base + base
         scalar = [evaluate_candidate(r, hp) for r, hp in problems]
         assert evaluate_problems(problems) == scalar
 
     def test_escape_hatch_matches(self, rng, monkeypatch):
-        # The size gate out of reach forces the deduped record-kernel
+        # The size gate out of reach forces the record-kernel
         # loop on a population that would stack.
         problems = _record_problems(rng, 2 * MIN_PROBLEM_POPULATION)
         want = [evaluate_candidate(r, hp) for r, hp in problems]
