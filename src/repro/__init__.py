@@ -84,7 +84,7 @@ from repro.errors import (
 from repro.jittermargin.linearbound import LinearStabilityBound
 from repro.rta.taskset import Task, TaskSet
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     # the analysis façade

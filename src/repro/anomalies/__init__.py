@@ -32,10 +32,7 @@ from repro.anomalies.scenarios import (
 )
 from repro.anomalies.sensitivity import (
     PriorityLevelProfile,
-    ScalingMargin,
     priority_level_margin,
-    sensitivity_report,
-    wcet_scaling_margin,
 )
 
 __all__ = [
@@ -48,9 +45,6 @@ __all__ = [
     "AnomalyCensus",
     "find_priority_raise_anomaly",
     "priority_raise_anomaly_example",
-    "wcet_scaling_margin",
-    "sensitivity_report",
     "priority_level_margin",
-    "ScalingMargin",
     "PriorityLevelProfile",
 ]

@@ -38,15 +38,16 @@ class AnomalyCensus:
     moves_checked: Dict[str, int] = field(default_factory=dict)
     anomalous_moves: Dict[str, int] = field(default_factory=dict)
     destabilising_moves: Dict[str, int] = field(default_factory=dict)
-    events: List[AnomalyEvent] = field(default_factory=list)
 
-    def record(self, kind: str, checked: int, found: List[AnomalyEvent]) -> None:
+    def add(
+        self, kind: str, checked: int, anomalous: int, destabilising: int
+    ) -> None:
+        """Add one benchmark's move counts of ``kind``."""
         self.moves_checked[kind] = self.moves_checked.get(kind, 0) + checked
-        self.anomalous_moves[kind] = self.anomalous_moves.get(kind, 0) + len(found)
-        self.destabilising_moves[kind] = self.destabilising_moves.get(kind, 0) + sum(
-            1 for e in found if e.destabilising
+        self.anomalous_moves[kind] = self.anomalous_moves.get(kind, 0) + anomalous
+        self.destabilising_moves[kind] = (
+            self.destabilising_moves.get(kind, 0) + destabilising
         )
-        self.events.extend(found)
 
     def anomaly_rate(self, kind: str) -> float:
         checked = self.moves_checked.get(kind, 0)

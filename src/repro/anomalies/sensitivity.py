@@ -7,178 +7,28 @@ find out if the optimum satisfies y < x or y > x.  Hence efficient pruning
 of the search space."  Without monotonicity, binary search silently
 returns wrong answers.
 
-This module makes that story concrete for the classic sensitivity question
-(Racu-Hamann-Ernst, the paper's reference [17]): *by how much can a task's
-execution demand grow before the system breaks?*
+:func:`priority_level_margin` answers the sensitivity question for a
+task's priority level, where monotonicity famously fails: it evaluates
+every level and returns the slack profile, so callers can *see* the
+anomaly instead of trusting a pruned search.
 
-* :func:`wcet_scaling_margin` -- binary search for the critical scaling
-  factor of one task's (WCET, BCET), in the monotonicity-trusting style.
-  For *scaling a task's own demand* the constraint metric of every task is
-  genuinely monotone (interference and own demand both grow with the
-  factor), so the binary search is sound -- this is the majority-case tool
-  the paper advocates.
-* :func:`priority_level_margin` -- the same question for a *discrete*
-  parameter where monotonicity famously fails (the task's priority level):
-  answered by exhaustive evaluation, with the non-monotone slack profile
-  returned so callers can *see* the anomaly.
-* :func:`sensitivity_report` -- per-task scaling margins for a whole
-  assignment: the "how much slack does my design have" table.
+Scaling one task's demand (WCET and BCET by a common factor) is no
+safer.  The constraint metric ``L + aJ = a R^w - (a - 1) R^b`` *falls*
+when a lower-priority task's best-case response ``R^b`` jumps, which a
+larger interferer can cause, so validity is not monotone in the factor.
+``tests/anomalies/test_sensitivity.py`` pins a two-task set that is
+valid at factors 2.19 and 2.21 but invalid at 2.2; a bisection on the
+factor would step over that window.  This module therefore offers no
+demand-scaling margin.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
-from repro.api.service import analyze, task_verdict
-from repro.errors import ModelError
-from repro.rta.taskset import Task, TaskSet
-
-
-@dataclass(frozen=True)
-class ScalingMargin:
-    """Critical demand-scaling factor of one task."""
-
-    task_name: str
-    factor: float            # largest validated scale (1.0 = no headroom growth)
-    evaluations: int         # constraint evaluations spent
-    binding_task: Optional[str]  # which task's constraint broke just past it
-
-
-def _taskset_with_scaled_task(taskset: TaskSet, name: str, factor: float) -> Optional[TaskSet]:
-    """Scale one task's WCET/BCET; ``None`` if the WCET leaves the period."""
-    scaled = []
-    for task in taskset:
-        if task.name != name:
-            scaled.append(task.copy())
-            continue
-        wcet = task.wcet * factor
-        if wcet > task.period:
-            return None
-        scaled.append(replace(task, wcet=wcet, bcet=task.bcet * factor))
-    return TaskSet(scaled)
-
-
-def _first_violation(taskset: TaskSet) -> Optional[str]:
-    """Name of the first task violating deadline/stability, else ``None``."""
-    violating = analyze(taskset).violating
-    return violating[0] if violating else None
-
-
-def wcet_scaling_margin(
-    taskset: TaskSet,
-    task_name: str,
-    *,
-    tolerance: float = 1e-4,
-    max_factor: float = 64.0,
-) -> ScalingMargin:
-    """Largest factor by which ``task_name``'s demand may grow.
-
-    Requires the task set to carry a valid priority assignment.  The
-    search is a textbook bisection on the factor, justified here because
-    scaling *both* execution-time bounds of one task by a common factor
-    moves every task's ``(L, J)`` metric monotonically upward:
-    interference terms scale with the factor and the task's own demand
-    does too.  (Contrast with :func:`priority_level_margin`, where no such
-    argument exists and bisection would be unsound.)
-
-    Returns the largest factor (within ``tolerance``, relative) for which
-    the *whole* assignment stays valid.
-    """
-    taskset.check_distinct_priorities()
-    taskset.by_name(task_name)  # raises ModelError for unknown tasks
-    evaluations = 0
-
-    def valid_at(factor: float) -> Tuple[bool, Optional[str]]:
-        nonlocal evaluations
-        evaluations += 1
-        scaled = _taskset_with_scaled_task(taskset, task_name, factor)
-        if scaled is None:
-            return False, task_name
-        violator = _first_violation(scaled)
-        return violator is None, violator
-
-    ok_now, violator = valid_at(1.0)
-    if not ok_now:
-        raise ModelError(
-            f"task set is already invalid (task {violator!r}); sensitivity "
-            "is defined for working designs"
-        )
-
-    # Exponential bracket, then bisection.
-    low, high = 1.0, 2.0
-    binding: Optional[str] = None
-    while high <= max_factor:
-        ok, violator = valid_at(high)
-        if not ok:
-            binding = violator
-            break
-        low, high = high, high * 2.0
-    else:
-        return ScalingMargin(
-            task_name=task_name,
-            factor=low,
-            evaluations=evaluations,
-            binding_task=None,
-        )
-
-    while (high - low) > tolerance * high:
-        mid = 0.5 * (low + high)
-        ok, violator = valid_at(mid)
-        if ok:
-            low = mid
-        else:
-            high = mid
-            binding = violator
-    return ScalingMargin(
-        task_name=task_name,
-        factor=low,
-        evaluations=evaluations,
-        binding_task=binding,
-    )
-
-
-def _sensitivity_worker(item, params, seed) -> Dict[str, object]:
-    """Scaling margin of one task (sweep worker; taskset rides in params)."""
-    margin = wcet_scaling_margin(
-        params["taskset"], item["task"], tolerance=params["tolerance"]
-    )
-    return {
-        "task": margin.task_name,
-        "factor": margin.factor,
-        "evaluations": margin.evaluations,
-        "binding_task": margin.binding_task,
-    }
-
-
-def sensitivity_report(
-    taskset: TaskSet, *, tolerance: float = 1e-3, jobs: int = 1
-) -> Dict[str, ScalingMargin]:
-    """Scaling margin of every task under the current assignment.
-
-    Each task's bisection is independent, so the report is a natural
-    per-task sweep: ``jobs > 1`` fans the tasks out over worker processes
-    via the :mod:`repro.sweep` engine (the task set is pickled along).
-    """
-    from repro.sweep import SweepSpec, run_sweep
-
-    spec = SweepSpec(
-        name="sensitivity",
-        worker=_sensitivity_worker,
-        items=tuple({"task": task.name} for task in taskset),
-        params={"taskset": taskset, "tolerance": tolerance},
-        chunk_size=1,
-    )
-    result = run_sweep(spec, jobs=jobs)
-    return {
-        record["task"]: ScalingMargin(
-            task_name=record["task"],
-            factor=record["factor"],
-            evaluations=record["evaluations"],
-            binding_task=record["binding_task"],
-        )
-        for record in result.records
-    }
+from repro.api.service import task_verdict
+from repro.rta.taskset import TaskSet
 
 
 @dataclass(frozen=True)
@@ -210,8 +60,8 @@ class PriorityLevelProfile:
 def priority_level_margin(taskset: TaskSet, task_name: str) -> PriorityLevelProfile:
     """Slack of ``task_name`` at each priority level (exhaustive).
 
-    Unlike the scaling factor, the priority level admits no monotonicity
-    guarantee (the paper's headline anomaly), so every level is evaluated.
+    The priority level admits no monotonicity guarantee (the paper's
+    headline anomaly), so every level is evaluated.
     Other tasks keep their relative order; the probed task is inserted at
     each level 1..n.
     """

@@ -1,4 +1,4 @@
-"""Command-line entry point: ``python -m repro <experiment> [options]``.
+"""Command-line entry point: ``python -m repro <command> [options]``.
 
 Regenerates any table or figure of the paper from the terminal::
 
@@ -6,14 +6,19 @@ Regenerates any table or figure of the paper from the terminal::
     python -m repro fig4 --period 0.006
     python -m repro table1 --benchmarks 10000 --jobs 4
     python -m repro fig5 --benchmarks 200
-    python -m repro census --benchmarks 200 --jobs auto
+    python -m repro census --benchmarks 200 --jobs auto --out census.json
+    python -m repro jittercurve --points 15
+    python -m repro assign-suite --benchmarks 200 --jobs auto --out assign.json
     python -m repro all
 
-The ``sweep`` subcommand runs an experiment on the chunked parallel
-engine and (optionally) writes the machine-readable artifact::
+Each experiment command builds its module's ``sweep_spec``, runs it on
+the chunked parallel engine (:func:`repro.sweep.run_sweep`), prints the
+table ``from_sweep`` reduces it to, and ends with one meta line (items,
+chunks, jobs, cache hits, seconds, canonical sha).  ``--out`` writes the
+machine-readable artifact, and ``--cache-dir`` with ``--resume`` reuses
+the chunks a killed run already computed::
 
-    python -m repro sweep census --benchmarks 1000 --jobs 4 --out census.json
-    python -m repro sweep table1 --benchmarks 10000 --jobs 8 \
+    python -m repro table1 --benchmarks 10000 --jobs 8 \
         --cache-dir .sweep-cache --resume
 
 Artifacts embed a ``canonical_sha256`` over the deterministic records, so
@@ -48,9 +53,8 @@ engine (:mod:`repro.search`)::
     python -m repro assign systems.json --algorithm audsley --jobs auto
     python -m repro assign taskset.json --algorithm backtracking --out out.json
 
-and ``sweep assign`` runs the census-scale algorithm comparison::
-
-    python -m repro sweep assign --benchmarks 200 --jobs auto --out assign.json
+``assign-suite`` (above) is the census-scale comparison of the whole
+algorithm suite on generated benchmarks.
 
 The ``serve`` subcommand starts the long-lived analysis daemon
 (:mod:`repro.serve`: request coalescing + micro-batching over the
@@ -89,15 +93,24 @@ import json
 import sys
 from typing import Any, Dict, List, Optional
 
-from repro.experiments.runner import REDUCERS, SWEEPS, run_experiment
+#: ``repro <experiment>`` -> (module under :mod:`repro.experiments`, help).
+#: The assignment suite is ``assign-suite``: ``repro assign`` takes a model.
+_EXPERIMENTS = {
+    "fig2": ("fig2", "control cost vs sampling period"),
+    "fig4": ("fig4", "stability curve + linear bound"),
+    "table1": ("table1", "invalid solutions of Unsafe Quadratic"),
+    "fig5": ("fig5", "runtime comparison of the assigners"),
+    "census": ("census", "anomaly census (extension)"),
+    "jittercurve": ("jittercurve", "expected cost vs jitter (extension)"),
+    "assign-suite": ("assign", "priority-assignment suite comparison (extension)"),
+}
 
 #: Experiment order of ``python -m repro all``.
 _ALL_ORDER = ("fig2", "fig4", "table1", "fig5", "census", "jittercurve")
 
-#: Registered sweeps without a direct experiment subcommand (the
-#: ``scenarios`` group and the ``assign`` model command are their front
-#: ends).
-_SWEEP_ONLY = ("scenarios", "assign")
+#: Parsed attributes of an experiment command that are not ``sweep_spec``
+#: keywords.
+_RUN_KEYS = ("experiment", "jobs", "out", "cache_dir", "resume")
 
 
 def _parse_jobs(value: str) -> int:
@@ -132,78 +145,51 @@ def _add_jobs_option(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_run_options(parser: argparse.ArgumentParser, out_help: str) -> None:
+    """``--jobs``, ``--out``, ``--cache-dir`` and ``--resume`` of a sweep."""
+    _add_jobs_option(parser)
+    parser.add_argument("--out", type=str, default=None, help=out_help)
+    parser.add_argument(
+        "--cache-dir",
+        type=str,
+        default=None,
+        help="directory for per-chunk cache files",
+    )
+    parser.add_argument(
+        "--resume",
+        action="store_true",
+        default=False,
+        help="reuse cached chunks whose fingerprint matches",
+    )
+
+
 def _add_experiment_options(parser: argparse.ArgumentParser, name: str) -> None:
-    """Per-experiment options, shared by the direct and sweep subcommands."""
+    """Options of ``repro <name>``, each stored under its ``sweep_spec``
+    keyword; one left out keeps the spec's own default."""
     if name == "fig2":
-        # 197 points over [0.02, 1.0] = exactly 5 ms spacing: the narrow
-        # pathological resonances at 0.25/0.5/0.75/1.0 s are sampled head-on.
-        parser.add_argument("--points", type=int, default=197)
-        parser.add_argument("--h-min", type=float, default=0.02)
-        parser.add_argument("--h-max", type=float, default=1.0)
-    elif name == "fig4":
-        parser.add_argument("--period", type=float, default=0.006)
-        parser.add_argument("--points", type=int, default=41)
-    elif name == "table1":
-        parser.add_argument("--benchmarks", type=int, default=500)
-        parser.add_argument("--seed", type=int, default=2017)
-    elif name == "fig5":
-        parser.add_argument("--benchmarks", type=int, default=100)
-        parser.add_argument("--seed", type=int, default=2017)
-    elif name == "census":
-        parser.add_argument("--benchmarks", type=int, default=100)
-        parser.add_argument("--seed", type=int, default=424242)
-    elif name == "jittercurve":
-        parser.add_argument("--period", type=float, default=0.006)
-        parser.add_argument("--latency", type=float, default=0.0)
-        parser.add_argument("--points", type=int, default=15)
-    elif name == "scenarios":
-        parser.add_argument("--scenario", type=str, default="smoke_single_loop")
-        parser.add_argument("--instances", type=int, default=32)
-        parser.add_argument("--seed", type=int, default=7)
-        parser.add_argument("--horizon-periods", type=int, default=None)
-    elif name == "assign":
-        parser.add_argument("--benchmarks", type=int, default=100)
-        parser.add_argument("--seed", type=int, default=2017)
+        parser.add_argument("--points", type=int)
+        parser.add_argument("--h-min", type=float)
+        parser.add_argument("--h-max", type=float)
+    elif name in ("fig4", "jittercurve"):
+        parser.add_argument("--period", dest="h", type=float)
+        if name == "jittercurve":
+            parser.add_argument("--latency", type=float)
+        parser.add_argument("--points", type=int)
+    else:
+        parser.add_argument("--benchmarks", type=int)
+        parser.add_argument("--seed", type=int)
+    if name == "assign-suite":
         parser.add_argument(
             "--task-counts",
             type=int,
             nargs="+",
-            default=[4, 6, 8],
             help="task counts of the benchmark population",
         )
         parser.add_argument(
             "--exhaustive-max-n",
             type=int,
-            default=6,
             help="skip the exhaustive scan above this task count",
         )
-
-
-def _experiment_kwargs(name: str, args: argparse.Namespace) -> Dict[str, Any]:
-    """Translate parsed options into experiment keyword arguments."""
-    if name == "fig2":
-        return {"points": args.points, "h_min": args.h_min, "h_max": args.h_max}
-    if name == "fig4":
-        return {"h": args.period, "points": args.points}
-    if name == "jittercurve":
-        return {"h": args.period, "latency": args.latency, "points": args.points}
-    if name in ("table1", "fig5", "census"):
-        return {"benchmarks": args.benchmarks, "seed": args.seed}
-    if name == "scenarios":
-        return {
-            "scenario": args.scenario,
-            "instances": args.instances,
-            "seed": args.seed,
-            "horizon_periods": args.horizon_periods,
-        }
-    if name == "assign":
-        return {
-            "benchmarks": args.benchmarks,
-            "seed": args.seed,
-            "task_counts": tuple(args.task_counts),
-            "exhaustive_max_n": args.exhaustive_max_n,
-        }
-    return {}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -216,47 +202,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
 
-    help_lines = {
-        "fig2": "control cost vs sampling period",
-        "fig4": "stability curve + linear bound",
-        "table1": "invalid solutions of Unsafe Quadratic",
-        "fig5": "runtime comparison of the assigners",
-        "census": "anomaly census (extension)",
-        "jittercurve": "expected cost vs jitter (extension)",
-        "scenarios": "Monte-Carlo scenario validation (extension)",
-        "assign": "priority-assignment suite comparison (extension)",
-    }
-    for name in _ALL_ORDER:
-        experiment = sub.add_parser(name, help=help_lines[name])
+    for name, (_, help_line) in _EXPERIMENTS.items():
+        # Unset experiment options stay out of the namespace, so the
+        # spec's own defaults apply.
+        experiment = sub.add_parser(
+            name, help=help_line, argument_default=argparse.SUPPRESS
+        )
         _add_experiment_options(experiment, name)
-        _add_jobs_option(experiment)
-
-    sweep = sub.add_parser(
-        "sweep",
-        help="run an experiment on the parallel sweep engine, write artifact",
-    )
-    sweep_sub = sweep.add_subparsers(dest="sweep_experiment", required=True)
-    for name in _ALL_ORDER + _SWEEP_ONLY:
-        target = sweep_sub.add_parser(name, help=f"sweep {help_lines[name]}")
-        _add_experiment_options(target, name)
-        _add_jobs_option(target)
-        target.add_argument(
-            "--out", type=str, default=None, help="artifact JSON path"
-        )
-        target.add_argument(
-            "--chunk-size", type=int, default=None, help="items per chunk"
-        )
-        target.add_argument(
-            "--cache-dir",
-            type=str,
-            default=None,
-            help="directory for per-chunk cache files",
-        )
-        target.add_argument(
-            "--resume",
-            action="store_true",
-            help="reuse cached chunks whose fingerprint matches",
-        )
+        _add_run_options(experiment, "artifact JSON path")
 
     scenarios = sub.add_parser(
         "scenarios",
@@ -286,18 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
     scen_val.add_argument("--instances", type=int, default=32)
     scen_val.add_argument("--seed", type=int, default=7)
     scen_val.add_argument("--horizon-periods", type=int, default=None)
-    _add_jobs_option(scen_val)
-    scen_val.add_argument(
-        "--out", type=str, default=None, help="canonical report JSON path"
-    )
-    scen_val.add_argument(
-        "--cache-dir", type=str, default=None,
-        help="directory for per-chunk cache files",
-    )
-    scen_val.add_argument(
-        "--resume", action="store_true",
-        help="reuse cached chunks whose fingerprint matches",
-    )
+    _add_run_options(scen_val, "canonical report JSON path")
 
     assign = sub.add_parser(
         "assign",
@@ -511,25 +453,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_sweep_command(args: argparse.Namespace) -> int:
+def _run_experiment_command(args: argparse.Namespace) -> int:
+    """``repro <experiment>``: sweep, print the table and one meta line."""
+    import importlib
+
     from repro.sweep import run_sweep
 
-    name = args.sweep_experiment
-    kwargs = _experiment_kwargs(name, args)
-    if name == "scenarios" and kwargs.get("horizon_periods") is None:
-        kwargs.pop("horizon_periods")
-    if args.chunk_size is not None:
-        kwargs["chunk_size"] = args.chunk_size
-    spec = SWEEPS[name](**kwargs)
+    name = args.experiment
+    module = importlib.import_module(
+        f"repro.experiments.{_EXPERIMENTS[name][0]}"
+    )
+    kwargs = {k: v for k, v in vars(args).items() if k not in _RUN_KEYS}
     result = run_sweep(
-        spec,
+        module.sweep_spec(**kwargs),
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         resume=args.resume,
     )
     if args.out:
         result.write(args.out)
-    print(REDUCERS[name](result).render())
+    print(module.from_sweep(result).render())
     meta = result.meta
     print(
         f"\n[sweep {name}: {meta['n_items']} items in {meta['n_chunks']} "
@@ -1030,11 +973,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.experiment == "all":
         for name in _ALL_ORDER:
-            print(run_experiment(name).render())
+            main([name])
             print()
         return 0
-    if args.experiment == "sweep":
-        return _run_sweep_command(args)
+    if args.experiment in _EXPERIMENTS:
+        return _run_experiment_command(args)
     if args.experiment == "scenarios":
         return _run_scenarios_command(args)
     if args.experiment == "assign":
@@ -1045,12 +988,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _run_serve_command(args)
     if args.experiment == "request":
         return _run_request_command(args)
-    if args.experiment == "obs":
-        return _run_obs_command(args)
-    kwargs = _experiment_kwargs(args.experiment, args)
-    kwargs["jobs"] = args.jobs
-    print(run_experiment(args.experiment, **kwargs).render())
-    return 0
+    return _run_obs_command(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

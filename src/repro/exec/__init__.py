@@ -2,7 +2,7 @@
 
 Every parallel call site in the codebase -- the sweep chunk executor,
 ``analyze_batch``/``assign_batch``, scenario Monte-Carlo validation, the
-search census suites, the experiments runner, and the serve daemon's
+search census suites, the experiment commands, and the serve daemon's
 model batches under ``--jobs N`` -- describes its work as an
 :class:`~repro.exec.plan.ExecutionPlan` and hands it to a backend:
 

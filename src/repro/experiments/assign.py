@@ -1,4 +1,4 @@
-"""The assignment-algorithm comparison at census scale (``assign`` sweep).
+"""The assignment-algorithm comparison at census scale (``repro assign-suite``).
 
 The paper compares its priority-assignment algorithms along two axes:
 *quality* (does the emitted assignment actually validate? -- Table I) and

@@ -11,7 +11,7 @@ are, in fact, very improbable."
 The heavy lifting -- one generated benchmark and one backtracking
 assignment per item, then the three detector families for a whole chunk
 in one stacked pass -- runs on the :mod:`repro.sweep` engine, so
-``python -m repro sweep census --jobs N`` distributes it over worker
+``python -m repro census --jobs N`` distributes it over worker
 processes while producing counts identical to the serial run.
 """
 
@@ -161,16 +161,11 @@ def reduce_records(records: Iterable[Dict[str, Any]]) -> CensusResult:
             continue
         census.feasible += 1
         for kind in _KINDS:
-            census.moves_checked[kind] = (
-                census.moves_checked.get(kind, 0) + record[f"{kind}_checked"]
-            )
-            census.anomalous_moves[kind] = (
-                census.anomalous_moves.get(kind, 0)
-                + record[f"{kind}_anomalous"]
-            )
-            census.destabilising_moves[kind] = (
-                census.destabilising_moves.get(kind, 0)
-                + record[f"{kind}_destabilising"]
+            census.add(
+                kind,
+                record[f"{kind}_checked"],
+                record[f"{kind}_anomalous"],
+                record[f"{kind}_destabilising"],
             )
     benchmarks_per_count = max(per_count.values(), default=0)
     return CensusResult(

@@ -335,8 +335,8 @@ class ScenarioValidation:
         atomic_write_json(path, self.to_report())
 
     def render(self) -> str:
-        # Imported here: repro.experiments imports this module through the
-        # runner registries, so a top-level import would be circular.
+        # Imported here: a top-level import would load the
+        # repro.experiments package (and its drivers) with this module.
         from repro.experiments.report import format_table
 
         rows = [
@@ -458,20 +458,3 @@ def validate_registry(
         for name in scenario_names()
     }
 
-
-def run_scenarios(
-    *,
-    scenario: str = "smoke_single_loop",
-    instances: int = 32,
-    seed: int = 7,
-    horizon_periods: Optional[int] = None,
-    jobs: int = 1,
-) -> ScenarioValidation:
-    """Experiment-registry entry point (``render()``-able result)."""
-    return validate_scenario(
-        scenario,
-        instances=instances,
-        seed=seed,
-        horizon_periods=horizon_periods,
-        jobs=jobs,
-    )

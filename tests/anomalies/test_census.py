@@ -13,9 +13,13 @@ pytestmark = pytest.mark.slow
 class TestCensusAccounting:
     def test_record_and_rates(self):
         census = AnomalyCensus()
-        census.record("priority_raise", checked=10, found=[])
+        census.add("priority_raise", 10, 0, 0)
         assert census.anomaly_rate("priority_raise") == 0.0
         assert census.destabilising_rate("priority_raise") == 0.0
+        census.add("priority_raise", 10, 4, 1)
+        assert census.moves_checked["priority_raise"] == 20
+        assert census.anomaly_rate("priority_raise") == 0.2
+        assert census.destabilising_rate("priority_raise") == 0.05
 
     def test_unknown_kind_rate_is_zero(self):
         assert AnomalyCensus().anomaly_rate("nope") == 0.0
@@ -44,7 +48,3 @@ class TestCensusRun:
         # anomalous-move rate is at most a few percent.
         for kind in ("priority_raise", "wcet_decrease", "period_increase"):
             assert census.anomaly_rate(kind) < 0.2
-
-    def test_census_keeps_no_events(self, census):
-        # Sweep records carry counts only; no AnomalyEvent survives.
-        assert census.events == []

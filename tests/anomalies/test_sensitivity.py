@@ -1,17 +1,13 @@
-"""Tests of the sensitivity analysis (scaling margins, level profiles)."""
+"""Tests of the sensitivity analysis (level profiles) and of the
+non-monotone demand scaling that rules out a bisection on it."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.anomalies.scenarios import priority_raise_anomaly_example
-from repro.anomalies.sensitivity import (
-    priority_level_margin,
-    sensitivity_report,
-    wcet_scaling_margin,
-)
-from repro.errors import ModelError
+from repro.anomalies.sensitivity import priority_level_margin
+from repro.api import analyze
 from repro.jittermargin.linearbound import LinearStabilityBound
 from repro.rta.taskset import Task, TaskSet
 
@@ -26,55 +22,6 @@ def working_set():
                  stability=LinearStabilityBound(a=1.0, b=9.0)),
         ]
     )
-
-
-class TestWcetScalingMargin:
-    def test_margin_exceeds_one_for_working_set(self, working_set):
-        margin = wcet_scaling_margin(working_set, "hi")
-        assert margin.factor > 1.0
-
-    def test_scaled_at_margin_is_valid_and_past_is_not(self, working_set):
-        from repro.anomalies.sensitivity import (
-            _first_violation,
-            _taskset_with_scaled_task,
-        )
-
-        margin = wcet_scaling_margin(working_set, "hi", tolerance=1e-5)
-        at = _taskset_with_scaled_task(working_set, "hi", margin.factor)
-        assert _first_violation(at) is None
-        past = _taskset_with_scaled_task(working_set, "hi", margin.factor * 1.01)
-        assert past is None or _first_violation(past) is not None
-
-    def test_binding_task_reported(self, working_set):
-        margin = wcet_scaling_margin(working_set, "hi", tolerance=1e-5)
-        assert margin.binding_task in {"hi", "lo"}
-
-    def test_bisection_is_cheap(self, working_set):
-        # log2(bracket / tolerance) evaluations, not a linear scan.
-        margin = wcet_scaling_margin(working_set, "hi", tolerance=1e-4)
-        assert margin.evaluations < 40
-
-    def test_invalid_design_rejected(self, working_set):
-        broken = working_set.with_priorities({"hi": 1, "lo": 2})
-        with pytest.raises(ModelError):
-            wcet_scaling_margin(broken, "hi")
-
-    def test_unknown_task_rejected(self, working_set):
-        with pytest.raises(ModelError):
-            wcet_scaling_margin(working_set, "nope")
-
-    def test_unconstrained_task_hits_cap(self):
-        ts = TaskSet(
-            [Task(name="solo", period=10.0, wcet=0.01, bcet=0.01, priority=1)]
-        )
-        margin = wcet_scaling_margin(ts, "solo", max_factor=16.0)
-        # Only its own period caps the growth; bracket stops at the cap.
-        assert margin.factor >= 16.0 or margin.binding_task == "solo"
-
-    def test_report_covers_all_tasks(self, working_set):
-        report = sensitivity_report(working_set)
-        assert set(report) == {"hi", "lo"}
-        assert all(m.factor >= 1.0 for m in report.values())
 
 
 class TestPriorityLevelProfile:
@@ -105,13 +52,33 @@ class TestPriorityLevelProfile:
         assert profile.slacks[best_index] == max(profile.slacks)
 
 
-@pytest.mark.sweep
-class TestParallelReport:
-    def test_jobs_match_serial(self, working_set):
-        serial = sensitivity_report(working_set, jobs=1)
-        parallel = sensitivity_report(working_set, jobs=2)
-        assert set(serial) == set(parallel)
-        for name in serial:
-            assert parallel[name].factor == serial[name].factor
-            assert parallel[name].evaluations == serial[name].evaluations
-            assert parallel[name].binding_task == serial[name].binding_task
+def _scaled_pair(factor: float) -> TaskSet:
+    """Two-task set with ``hp``'s WCET and BCET scaled by ``factor``."""
+    return TaskSet(
+        [
+            Task(name="hp", period=1.2465, wcet=0.1681 * factor,
+                 bcet=0.1349 * factor, priority=2),
+            Task(name="lo", period=9.579, wcet=1.7544, bcet=0.9491, priority=1,
+                 stability=LinearStabilityBound(a=5.014, b=10.5117)),
+        ]
+    )
+
+
+class TestDemandScalingIsNotMonotone:
+    """Growing one task's demand can break a design and then repair it.
+
+    At 2.2, ``lo``'s worst-case response has crossed ``2 * T_hp``; by
+    2.21 its best-case response has jumped from 0.949 to 1.247, which
+    lowers ``L + aJ = a R^w - (a - 1) R^b``.  A bisection on the factor
+    returned 2.78 on this set, stepping over the invalid window.
+    """
+
+    @pytest.mark.parametrize(
+        "factor, stable, slack",
+        [(2.19, True, 1.833), (2.2, False, -0.038), (2.21, True, 1.133)],
+    )
+    def test_validity_at_factor(self, factor, stable, slack):
+        report = analyze(_scaled_pair(factor))
+        assert report.stable is stable
+        assert report.violating == (() if stable else ("lo",))
+        assert report.task("lo").slack == pytest.approx(slack, abs=5e-4)

@@ -1,45 +1,66 @@
-"""Tests of the experiment runner and the CLI wiring."""
+"""Tests of the CLI wiring: ``repro <experiment>`` and ``scenarios``."""
 
 from __future__ import annotations
 
+import importlib
 import json
 
 import pytest
 
 from repro.cli import main
-from repro.experiments.runner import (
-    EXPERIMENTS,
-    REDUCERS,
-    SWEEPS,
-    ExperimentRun,
-    run_experiment,
+from repro.sweep import run_sweep
+
+#: ``repro <command>`` at a tiny size: (command, module under
+#: repro.experiments, argv tail, the same options as sweep_spec keywords).
+EXPERIMENT_COMMANDS = [
+    ("fig2", "fig2", ["--points", "4", "--h-min", "0.05", "--h-max", "0.2"],
+     {"points": 4, "h_min": 0.05, "h_max": 0.2}),
+    ("fig4", "fig4", ["--points", "5", "--period", "0.006"],
+     {"points": 5, "h": 0.006}),
+    ("table1", "table1", ["--benchmarks", "1", "--seed", "3"],
+     {"benchmarks": 1, "seed": 3}),
+    ("fig5", "fig5", ["--benchmarks", "1"], {"benchmarks": 1}),
+    ("census", "census", ["--benchmarks", "1"], {"benchmarks": 1}),
+    ("jittercurve", "jittercurve", ["--points", "3", "--latency", "0.001"],
+     {"points": 3, "latency": 0.001}),
+    ("assign-suite", "assign",
+     ["--benchmarks", "2", "--task-counts", "3", "4", "--exhaustive-max-n", "3"],
+     {"benchmarks": 2, "task_counts": (3, 4), "exhaustive_max_n": 3}),
+]
+
+
+@pytest.mark.parametrize(
+    "command, module_name, argv, kwargs",
+    EXPERIMENT_COMMANDS,
+    ids=[case[0] for case in EXPERIMENT_COMMANDS],
 )
+def test_experiment_command_runs_the_module_sweep(
+    command, module_name, argv, kwargs, tmp_path, capsys
+):
+    out = tmp_path / "artifact.json"
+    assert main([command, *argv, "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    artifact = json.loads(out.read_text())
+
+    module = importlib.import_module(f"repro.experiments.{module_name}")
+    result = run_sweep(module.sweep_spec(**kwargs))
+    assert artifact["name"] == result.name
+    assert artifact["canonical_sha256"] == result.canonical_sha256()
+    table = module.from_sweep(result).render()
+    if command in ("fig5", "assign-suite"):
+        # Their tables print wall-clock timings: compare the title only.
+        table = table.splitlines()[0]
+    assert printed.startswith(table + "\n")
+    assert f"canonical sha256 {result.canonical_sha256()[:16]}]" in printed
 
 
-class TestRunner:
-    def test_registry_covers_all_artifacts(self):
-        assert {"fig2", "fig4", "table1", "fig5", "census"} <= set(EXPERIMENTS)
-
-    def test_sweep_registries_align(self):
-        assert set(SWEEPS) == set(EXPERIMENTS)
-        assert set(REDUCERS) == set(EXPERIMENTS)
-
-    def test_unknown_experiment_raises(self):
-        with pytest.raises(KeyError, match="unknown experiment"):
-            run_experiment("fig99")
-
-    def test_unknown_kwargs_rejected_up_front(self):
-        with pytest.raises(TypeError, match="unknown arguments.*typo_points"):
-            run_experiment("fig4", typo_points=9)
-
-    def test_run_experiment_returns_timed_result(self):
-        run = run_experiment("fig4", points=9)
-        assert isinstance(run, ExperimentRun)
-        assert run.name == "fig4"
-        assert run.elapsed_seconds > 0.0
-        report = run.render()
-        assert "Figure 4" in report
-        assert "completed in" in report
+# ``sweep census`` is the spelling removed in v6.0.0.
+@pytest.mark.parametrize("argv", ["sweep census".split(), ["fig99"]])
+def test_unknown_command_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 class TestCli:
@@ -128,7 +149,7 @@ class TestScenariosCli:
 class TestSweepCli:
     def test_sweep_writes_artifact(self, tmp_path, capsys):
         out = tmp_path / "fig4.json"
-        assert main(["sweep", "fig4", "--points", "9", "--out", str(out)]) == 0
+        assert main(["fig4", "--points", "9", "--out", str(out)]) == 0
         printed = capsys.readouterr().out
         assert "Figure 4" in printed
         assert "canonical sha256" in printed
@@ -137,23 +158,10 @@ class TestSweepCli:
         assert len(artifact["records"]) == 9
         assert artifact["canonical_sha256"]
 
-    def test_sweep_scenarios_target(self, tmp_path, capsys):
-        out = tmp_path / "scen.json"
-        argv = [
-            "sweep", "scenarios", "--scenario", "smoke_single_loop",
-            "--instances", "2", "--horizon-periods", "40", "--out", str(out),
-        ]
-        assert main(argv) == 0
-        printed = capsys.readouterr().out
-        assert "verdict: OK" in printed
-        artifact = json.loads(out.read_text())
-        assert artifact["name"] == "scenario-smoke_single_loop"
-        assert len(artifact["records"]) == 2
-
     def test_sweep_cache_resume(self, tmp_path, capsys):
         cache = tmp_path / "cache"
         argv = [
-            "sweep", "table1", "--benchmarks", "2",
+            "table1", "--benchmarks", "2",
             "--cache-dir", str(cache), "--resume",
         ]
         assert main(argv) == 0

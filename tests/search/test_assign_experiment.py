@@ -10,14 +10,7 @@ from repro.experiments.assign import (
     run_assign,
     sweep_spec,
 )
-from repro.experiments.runner import EXPERIMENTS, REDUCERS, SWEEPS
 from repro.sweep import run_sweep
-
-
-def test_registered_in_all_three_registries():
-    assert "assign" in EXPERIMENTS
-    assert "assign" in SWEEPS
-    assert "assign" in REDUCERS
 
 
 def test_small_run_reduces_and_renders():

@@ -103,7 +103,7 @@ def test_sweep_assign_artifact(tmp_path, capsys):
     out = tmp_path / "assign.json"
     code = main(
         [
-            "sweep", "assign",
+            "assign-suite",
             "--benchmarks", "2",
             "--task-counts", "3",
             "--jobs", "1",
