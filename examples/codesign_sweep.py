@@ -2,104 +2,66 @@
 
 The paper's Fig. 2 motivates co-design: control cost generally *increases*
 with the sampling period (slower sampling = worse control), but CPU demand
-*decreases* (fewer jobs).  This example sweeps candidate periods for three
-control loops sharing one processor, evaluates
+*decreases* (fewer jobs).  This example gives three control loops sharing
+one processor a menu of candidate periods each and lets
+:func:`repro.codesign.assign_periods` pick the cheapest design:
 
-* the LQG cost of each loop at each period (the Fig. 2 curve),
-* schedulability + stability of the resulting task set (Algorithm 1),
+* each candidate period gets the loop's LQG cost (the Fig. 2 curve) and
+  its stability bound ``L + a J <= b`` (the Fig. 4 fit);
+* combinations are checked in increasing total-cost order, each validated
+  exactly with the backtracking priority assignment (Algorithm 1), and the
+  first valid one is the cheapest on the grid.
 
-and picks the cheapest-total-cost combination that yields a valid design --
-exactly the kind of design-space exploration whose complexity the paper
-analyses (and why monotonicity matters: the search prunes on the cost
-trend while re-validating every kept point exactly).
+This is the kind of design-space exploration whose complexity the paper
+analyses, and why monotonicity matters: the search orders on the cost
+trend but never extrapolates feasibility from one combination to another.
 
 Run:  python examples/codesign_sweep.py
 """
 
 from __future__ import annotations
 
-import itertools
-
-import numpy as np
-
-from repro.assignment import assign_backtracking
-from repro.control import get_plant, plant_lqg_cost
-from repro.jittermargin import stability_bound_for_plant
-from repro.rta import Task, TaskSet
+from repro.codesign import ControlLoopSpec, assign_periods, candidate_table
 
 #: Fixed execution-time demand of each controller (seconds per job).
 WCETS = {"dc_servo": 0.0012, "inverted_pendulum": 0.004, "dc_servo_slow": 0.008}
 BCET_FRACTION = 0.45
 CANDIDATE_POINTS = 4
 
+LOOPS = [
+    ControlLoopSpec(name=name, plant=name, wcet=wcet, bcet_fraction=BCET_FRACTION)
+    for name, wcet in WCETS.items()
+]
+
 
 def main() -> None:
-    loops = []
-    for name, wcet in WCETS.items():
-        plant = get_plant(name)
-        lo, hi = plant.period_range
-        # Periods must comfortably hold the WCET.
-        lo = max(lo, 2.5 * wcet)
-        candidates = np.geomspace(lo, hi, CANDIDATE_POINTS)
-        entries = []
-        for h in candidates:
-            cost = plant_lqg_cost(plant, float(h))
-            bound = stability_bound_for_plant(plant, float(h))
-            entries.append((float(h), cost, bound))
-        loops.append((name, plant, wcet, entries))
-        print(f"{name}: candidate periods and LQG costs")
-        for h, cost, bound in entries:
+    for loop in LOOPS:
+        print(f"{loop.name}: candidate periods and LQG costs")
+        table = candidate_table(loop, points=CANDIDATE_POINTS)
+        for c in sorted(table, key=lambda c: c.period):
             print(
-                f"   h={h * 1e3:7.2f} ms  cost={cost:10.4g}  "
-                f"(L + {bound.a:.2f} J <= {bound.b * 1e3:.2f} ms)"
+                f"   h={c.period * 1e3:7.2f} ms  cost={c.cost:10.4g}  "
+                f"(L + {c.bound.a:.2f} J <= {c.bound.b * 1e3:.2f} ms)"
             )
 
-    best = None
-    explored = 0
-    for combo in itertools.product(*(entries for _, _, _, entries in loops)):
-        explored += 1
-        tasks = []
-        total_cost = 0.0
-        for (name, plant, wcet, _), (h, cost, bound) in zip(loops, combo):
-            if not np.isfinite(cost):
-                total_cost = float("inf")
-                break
-            total_cost += cost
-            tasks.append(
-                Task(
-                    f"{name}_ctl",
-                    period=h,
-                    wcet=wcet,
-                    bcet=wcet * BCET_FRACTION,
-                    stability=bound,
-                    plant_name=name,
-                )
-            )
-        if not np.isfinite(total_cost):
-            continue
-        if best is not None and total_cost >= best[0]:
-            continue  # prune on the cost trend (the paper's point)
-        taskset = TaskSet(tasks)
-        if taskset.utilization >= 1.0:
-            continue
-        result = assign_backtracking(taskset)
-        if result.priorities is None:
-            continue
-        best = (total_cost, combo, result)
-
-    print(f"\nExplored {explored} period combinations.")
-    if best is None:
+    result = assign_periods(LOOPS, points=CANDIDATE_POINTS)
+    if result is None:
         raise SystemExit("no feasible design found")
-    total_cost, combo, result = best
-    print(f"Best valid design (total LQG cost {total_cost:.4g}):")
-    for (name, _, wcet, _), (h, cost, _) in zip(loops, combo):
+    print(
+        f"\nChecked {result.combinations_checked} period combinations "
+        "in increasing total-cost order."
+    )
+    print(f"Best valid design (total LQG cost {result.total_cost:.4g}):")
+    for loop in LOOPS:
+        chosen = result.chosen[loop.name]
         print(
-            f"  {name:18s} h={h * 1e3:7.2f} ms  cost={cost:8.4g}  "
-            f"priority={result.priorities[name + '_ctl']}"
+            f"  {loop.name:18s} h={chosen.period * 1e3:7.2f} ms  "
+            f"cost={chosen.cost:8.4g}  priority={result.priorities[loop.name]}"
         )
     print(
-        f"(priority assignment took {result.evaluations} constraint "
-        f"evaluations, {result.backtracks} backtracks)"
+        f"(priority assignment took {result.assignment_evaluations} "
+        f"constraint evaluations, {result.assignment_cache_hits} of them "
+        "answered by the analysis memo)"
     )
 
 

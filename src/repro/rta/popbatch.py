@@ -484,7 +484,10 @@ def analyze_population(tasksets: Sequence[TaskSet]) -> List[TasksetAnalysis]:
     its hp mask, so the floats are those of the memo and of the
     reference per-task analyses (the equivalence suites in
     ``tests/rta/test_popbatch.py`` and ``tests/rta/test_batch.py`` pin
-    this); verdicts match :func:`repro.api.analyze`.
+    this); verdicts match :func:`repro.api.analyze`.  A population of
+    fewer than :data:`MIN_PROBLEM_POPULATION` tasks builds no stack: the
+    record kernel poses each task against its hp records straight from
+    the task list.
     """
     for taskset in tasksets:
         taskset.check_distinct_priorities()
@@ -497,6 +500,11 @@ def _analyze_population(tasksets: Sequence[TaskSet]) -> List[TasksetAnalysis]:
     every set it resolves)."""
     if not tasksets:
         return []
+    n_tasks = sum(map(len, tasksets))
+    if n_tasks < MIN_PROBLEM_POPULATION:
+        if n_tasks:
+            _observe_tier("scalar", n_tasks, n_tasks)
+        return [_record_analysis(taskset) for taskset in tasksets]
     population = PopulationArrays(tasksets)
     rows = np.arange(len(population.tasks))
     best, worst = population.solve(
@@ -514,6 +522,32 @@ def _analyze_population(tasksets: Sequence[TaskSet]) -> List[TasksetAnalysis]:
         )
         offset = end
     return results
+
+
+def _record_analysis(taskset: TaskSet) -> TasksetAnalysis:
+    """One set through the record kernel, each task against its hp
+    records taken straight from the task list: the problems a
+    below-gate :class:`PopulationArrays` stack poses, in its order,
+    without building the stack."""
+    tasks = list(taskset)
+    records = [
+        make_record(float(t.period), float(t.wcet), float(t.bcet), None, t.name)
+        for t in tasks
+    ]
+    return TasksetAnalysis.build(
+        tasks,
+        [
+            evaluate_candidate(
+                record,
+                [
+                    other_record
+                    for other, other_record in zip(tasks, records)
+                    if other.priority > task.priority
+                ],
+            )
+            for task, record in zip(tasks, records)
+        ],
+    )
 
 
 def analyze_taskset(taskset: TaskSet) -> TasksetAnalysis:

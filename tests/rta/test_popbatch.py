@@ -224,6 +224,35 @@ class TestAnalyzePopulationEquivalence:
             [_record_loop(ts) for ts in tasksets],
         )
 
+    def test_small_population_builds_no_stack(self, rng, monkeypatch):
+        # Below the gate each task meets its hp records straight from the
+        # task list: no PopulationArrays is built, and the floats equal
+        # the reference analyses and the stack forced onto the same sets.
+        built = []
+
+        class CountingArrays(popbatch.PopulationArrays):
+            def __init__(self, tasksets):
+                built.append(len(tasksets))
+                super().__init__(tasksets)
+
+        monkeypatch.setattr(popbatch, "PopulationArrays", CountingArrays)
+        tasksets = [_random_taskset(rng, 4) for _ in range(3)]
+        assert sum(map(len, tasksets)) < MIN_PROBLEM_POPULATION
+        got = analyze_population(tasksets)
+        assert analyze_taskset(tasksets[0]) == got[0]
+        assert built == []
+        for taskset, analysis in zip(tasksets, got):
+            for task in taskset:
+                reference = latency_jitter(task, taskset.higher_priority(task))
+                times = analysis.times[task.name]
+                assert (times.best, times.worst) == (
+                    reference.best,
+                    reference.worst,
+                )
+        monkeypatch.setattr(popbatch, "MIN_PROBLEM_POPULATION", 0)
+        _assert_identical(got, analyze_population(tasksets))
+        assert built == [len(tasksets)]
+
     def test_empty_population(self):
         assert analyze_population([]) == []
 
